@@ -12,7 +12,7 @@ COVER_BASELINE ?= 77.5
 # Per-target budget for the native fuzz targets in the `fuzz` job.
 FUZZTIME ?= 30s
 
-.PHONY: build vet test check race bench-smoke bench-micro lint-docs coverage fuzz scenario-smoke scenario-faults slo-check overhead-smoke
+.PHONY: build vet test check race bench-smoke bench-micro lint-docs coverage fuzz scenario-smoke scenario-faults slo-check overhead-smoke vmbench-test
 
 build:
 	$(GO) build ./...
@@ -80,6 +80,15 @@ bench-smoke:
 	$(GO) run ./cmd/viewmap-bench -run continuous -scale quick
 	$(GO) run ./cmd/viewmap-bench -run reverify -scale quick
 	$(GO) run ./cmd/viewmap-bench -run ingest-saturation -scale quick -json BENCH_ingest.json
+
+# The benchmark's own tests (vmbench is a module of its own that
+# imports this one through a relative replace): tiny runs of all four
+# workloads, untraced and traced, with their correctness oracles; the
+# printed metric names and units checked against BENCHMARK.json; the
+# per-layer attribution identity; and the injected fsync slowdown
+# landing in server.fsync_us. About two minutes on a 2-core machine.
+vmbench-test:
+	cd vmbench && GOFLAGS=-mod=mod $(GO) test .
 
 # One quick-scale scenario-engine run through the bench binary: two
 # cities, fleet churn, a mid-run WAL fsync stall with a duplicate

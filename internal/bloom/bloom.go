@@ -124,6 +124,10 @@ func (f *Filter) Bytes() []byte {
 	return cp
 }
 
+// AppendBytes appends the underlying bit array (m/8 bytes) to dst and
+// returns the extended slice — Bytes without the intermediate copy.
+func (f *Filter) AppendBytes(dst []byte) []byte { return append(dst, f.bits...) }
+
 // Digest derives the double-hashing pair for an element from a single
 // SHA-256 digest. Bit position i is (h1 + i*h2) mod m; h2 is forced
 // odd so it cycles all positions for power-of-two m. Callers that test

@@ -295,18 +295,17 @@ func (sys *System) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
 	err = func() error {
 		var hdr [16]byte
 		copy(hdr[:8], snapshotMagic[:])
 		binary.BigEndian.PutUint64(hdr[8:], lsn)
-		if _, err := bw.Write(hdr[:]); err != nil {
+		if _, err := f.Write(hdr[:]); err != nil {
 			return err
 		}
-		if err := sys.SaveTo(bw); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
+		// Every section reaches the file in large writes of its own (the
+		// store section in recordChunk pieces), so no buffered writer
+		// sits in between.
+		if err := sys.SaveTo(f); err != nil {
 			return err
 		}
 		return f.Sync()

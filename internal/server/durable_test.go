@@ -418,6 +418,80 @@ func TestEvictReloadEquality(t *testing.T) {
 	}
 }
 
+// TestConcurrentSpillsOnDirtyMinutes races segment spills of the same
+// dirty minutes: four ApplyRetention sweeps and two cold-set trims run
+// at once, over hot minutes past the horizon and over cold minutes
+// that took a late ingest. Every spill of a minute goes through the
+// minute's one temp path, so unserialized racers fail their renames or
+// rename a torn segment into place. No call may fail, and every evicted
+// minute must reload report-equal to an always-resident control.
+func TestConcurrentSpillsOnDirtyMinutes(t *testing.T) {
+	sys := openDurable(t, t.TempDir(), 1)
+	defer sys.Close()
+	control := controlSystem(t)
+	st := sys.Store()
+
+	minute := int64(0)
+	for ; minute < 4; minute++ {
+		uploadMinute(t, minute, 12, 300+minute, sys, control)
+		if _, err := st.ApplyRetention(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := int64(0); round < 5; round++ {
+		// Two fresh minutes leave two dirty hot minutes past the horizon.
+		for i := 0; i < 2; i++ {
+			uploadMinute(t, minute, 12, 300+minute, sys, control)
+			minute++
+		}
+		// A late ingest into an evicted minute reloads it as a cold shard
+		// and dirties it. The wider cap keeps three such minutes resident;
+		// narrowing it again leaves every trim racing for the same two.
+		st.cfg.ResidentColdMinutes = 3
+		for m := int64(0); m < 3; m++ {
+			uploadMinute(t, m, 4, 500+10*round+m, sys, control)
+		}
+		st.cfg.ResidentColdMinutes = 1
+		if ret := st.RetentionStatsSnapshot(); ret.ColdResident != 3 {
+			t.Fatalf("round %d: %d cold minutes resident before the race, want 3", round, ret.ColdResident)
+		}
+
+		errs := make(chan error, 6)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 6; g++ {
+			wg.Add(1)
+			go func(sweep bool) {
+				defer wg.Done()
+				<-start
+				var err error
+				if sweep {
+					_, err = st.ApplyRetention()
+				} else {
+					_, err = st.trimCold()
+				}
+				errs <- err
+			}(g < 4)
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: concurrent spill: %v", round, err)
+			}
+		}
+		if ret := st.RetentionStatsSnapshot(); ret.ColdResident != 1 || ret.ResidentMinutes != 2 {
+			t.Fatalf("round %d: %d minutes resident (%d cold) after the race, want the newest plus 1 cold", round, ret.ResidentMinutes, ret.ColdResident)
+		}
+	}
+	for m := int64(0); m < minute; m++ {
+		if got, want := report(t, sys, m), report(t, control, m); !reflect.DeepEqual(got, want) {
+			t.Fatalf("minute %d: verdicts after concurrent spills diverge from the resident control", m)
+		}
+	}
+}
+
 // TestRetentionSurvivesCrash checks the segment/WAL split: evicted
 // minutes recover from their segment files, resident ones from
 // snapshot + WAL, and verdicts match the control everywhere.

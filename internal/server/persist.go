@@ -21,36 +21,93 @@ import (
 // persistMagic guards against feeding arbitrary files to LoadFrom.
 var persistMagic = [8]byte{'V', 'M', 'A', 'P', 'D', 'B', '0', '1'}
 
-// SaveTo streams the whole database to w.
-func (s *Store) SaveTo(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(persistMagic[:]); err != nil {
-		return err
-	}
-	// One consistent cut of the database (see snapshot): a save racing
-	// ongoing ingest persists a state the store actually held at some
-	// moment, never a torn batch.
-	profiles := s.snapshot()
-	var count [4]byte
-	binary.BigEndian.PutUint32(count[:], uint32(len(profiles)))
-	if _, err := bw.Write(count[:]); err != nil {
-		return err
-	}
+// recordWriter frames VP records as `u32 wire length | u8 trusted flag
+// | wire record`, the framing the store stream and the minute segments
+// share. It marshals every profile straight into one reused buffer and
+// hands that buffer to the destination in recordChunk-sized writes, so
+// a writer kept across uses (the store keeps one for its segment
+// spills) allocates nothing once its buffer has grown. Not safe for
+// concurrent use.
+type recordWriter struct {
+	buf []byte
+}
+
+// recordChunk is how many framed bytes a recordWriter gathers before
+// one Write: a minute's segment leaves in a handful of system calls,
+// and the buffer the store keeps between spills stays small.
+const recordChunk = 64 << 10
+
+// write writes head (the format's fixed header) followed by the framed
+// records of profiles to w, returning the bytes written.
+func (rw *recordWriter) write(w io.Writer, head []byte, profiles []*vp.Profile) (int64, error) {
+	var written int64
+	buf := append(rw.buf[:0], head...)
 	for _, p := range profiles {
-		rec := p.Marshal()
-		var hdr [5]byte
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(rec)))
+		var trusted byte
 		if p.Trusted {
-			hdr[4] = 1
+			trusted = 1
 		}
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(rec); err != nil {
-			return err
+		buf = binary.BigEndian.AppendUint32(buf, uint32(p.WireLen()))
+		buf = append(buf, trusted)
+		buf = p.AppendMarshal(buf)
+		if len(buf) >= recordChunk {
+			n, err := w.Write(buf)
+			written += int64(n)
+			if err != nil {
+				return written, err
+			}
+			buf = buf[:0]
 		}
 	}
-	return bw.Flush()
+	n, err := w.Write(buf)
+	rw.buf = buf[:0]
+	return written + int64(n), err
+}
+
+// storeHead fills the VMAPDB01 stream header: magic and record count.
+func storeHead(head []byte, count int) {
+	copy(head, persistMagic[:])
+	binary.BigEndian.PutUint32(head[len(persistMagic):], uint32(count))
+}
+
+// storeStreamLen returns the byte length of the VMAPDB01 stream of
+// profiles, computed from each profile's fixed wire length.
+func storeStreamLen(profiles []*vp.Profile) int64 {
+	n := int64(len(persistMagic) + 4)
+	for _, p := range profiles {
+		n += 5 + int64(p.WireLen())
+	}
+	return n
+}
+
+// SaveTo streams the whole database to w. It saves one consistent cut
+// (see snapshot): a save racing ongoing ingest persists a state the
+// store actually held at some moment, never a torn batch.
+func (s *Store) SaveTo(w io.Writer) error {
+	profiles := s.snapshot()
+	var head [12]byte
+	storeHead(head[:], len(profiles))
+	_, err := new(recordWriter).write(w, head[:], profiles)
+	return err
+}
+
+// saveSection streams the database as the store section of the
+// full-system stream: the u64 section length, computed up front from
+// the profiles' wire lengths, then the VMAPDB01 stream. The section is
+// never assembled in memory.
+func (s *Store) saveSection(w io.Writer) error {
+	profiles := s.snapshot()
+	size := storeStreamLen(profiles)
+	var head [20]byte
+	binary.BigEndian.PutUint64(head[:8], uint64(size))
+	storeHead(head[8:], len(profiles))
+	written, err := new(recordWriter).write(w, head[:], profiles)
+	if err == nil && written != 8+size {
+		// The prefix promised a length the stream did not deliver; the
+		// state file would not load, so fail the save instead.
+		err = fmt.Errorf("server: store section wrote %d bytes, its prefix promised %d", written-8, size)
+	}
+	return err
 }
 
 // LoadFrom ingests a database stream written by SaveTo, validating
@@ -143,7 +200,9 @@ var systemMagic = [8]byte{'V', 'M', 'A', 'P', 'S', 'Y', 'S', '1'}
 // million stored VPs is ~5 GB, far above any test or demo deployment.
 const maxSection = int64(8) << 30
 
-// writeSection writes one length-prefixed section.
+// writeSection writes one length-prefixed section, assembling it in
+// memory to learn its length. The bank and board sections use it; the
+// store section is streamed (Store.saveSection).
 func writeSection(w io.Writer, save func(io.Writer) error) error {
 	var buf bytes.Buffer
 	if err := save(&buf); err != nil {
@@ -199,7 +258,7 @@ func (sys *System) SaveTo(w io.Writer) error {
 	if _, err := w.Write(systemMagic[:]); err != nil {
 		return err
 	}
-	if err := writeSection(w, sys.store.SaveTo); err != nil {
+	if err := sys.store.saveSection(w); err != nil {
 		return fmt.Errorf("server: saving store: %w", err)
 	}
 	if err := writeSection(w, sys.bank.SaveTo); err != nil {

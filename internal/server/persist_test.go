@@ -2,10 +2,13 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"viewmap/internal/geo"
+	"viewmap/internal/vp"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -46,6 +49,121 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if len(restored.Minute(0)) != len(s.Minute(0)) {
 		t.Error("minute index must survive the round trip")
 	}
+}
+
+// framedRecords builds `u32 length | u8 trusted | wire record` per
+// profile from vp.Profile.Marshal, as docs/persistence-format.md
+// documents the store stream and segment bodies.
+func framedRecords(profiles []*vp.Profile) []byte {
+	var out []byte
+	for _, p := range profiles {
+		rec := p.Marshal()
+		out = binary.BigEndian.AppendUint32(out, uint32(len(rec)))
+		trusted := byte(0)
+		if p.Trusted {
+			trusted = 1
+		}
+		out = append(out, trusted)
+		out = append(out, rec...)
+	}
+	return out
+}
+
+// wantSystemStream builds the VMAPSYS1 stream of sys by hand: the store
+// section from framedRecords, the bank and board sections from their
+// own SaveTo.
+func wantSystemStream(t *testing.T, sys *System) []byte {
+	t.Helper()
+	profiles := sys.store.snapshot()
+	store := append([]byte("VMAPDB01"), binary.BigEndian.AppendUint32(nil, uint32(len(profiles)))...)
+	store = append(store, framedRecords(profiles)...)
+	var bank, board bytes.Buffer
+	if err := sys.bank.SaveTo(&bank); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.evidence.SaveTo(&board); err != nil {
+		t.Fatal(err)
+	}
+	out := []byte("VMAPSYS1")
+	for _, sec := range [][]byte{store, bank.Bytes(), board.Bytes()} {
+		out = binary.BigEndian.AppendUint64(out, uint64(len(sec)))
+		out = append(out, sec...)
+	}
+	return out
+}
+
+// TestPersistFormatPin pins every store-carrying file to the documented
+// framing built from vp.Profile.Marshal: System.SaveTo, the durable
+// snapshot, and minute segments (written through the store's one
+// spill writer). Minute 0 spans several recordChunk writes, and the
+// second snapshot and segment are smaller than the first, so stale
+// bytes left in a reused buffer would show.
+func TestPersistFormatPin(t *testing.T) {
+	dir := t.TempDir()
+	sys := openDurable(t, dir, 0)
+	defer sys.Close()
+	uploadMinute(t, 0, 40, 91, sys)
+	if sec := storeStreamLen(sys.store.snapshot()); sec < 2*recordChunk {
+		t.Fatalf("store section is %d bytes; the pin needs more than two chunks", sec)
+	}
+
+	var got bytes.Buffer
+	if err := sys.SaveTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if want := wantSystemStream(t, sys); !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("System.SaveTo wrote %d bytes, the documented framing is %d", got.Len(), len(want))
+	}
+
+	snapPath := filepath.Join(dir, "ingest.wal.snap")
+	checkSnapshot := func(stage string) {
+		t.Helper()
+		if err := sys.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(snapPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append([]byte("VMAPCKP1"), binary.BigEndian.AppendUint64(nil, sys.DurabilityStatsSnapshot().SnapshotLSN)...)
+		want = append(want, wantSystemStream(t, sys)...)
+		if !bytes.Equal(data, want) {
+			t.Fatalf("%s snapshot is %d bytes, the documented framing is %d", stage, len(data), len(want))
+		}
+	}
+	checkSnapshot("first")
+
+	st := sys.Store()
+	checkSegment := func(m int64) {
+		t.Helper()
+		profiles := st.Minute(m)
+		st.spillMu.Lock()
+		err := st.writeSegment(m, profiles)
+		st.spillMu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(st.segmentPath(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append([]byte("VMAPSEG1"), binary.BigEndian.AppendUint64(nil, uint64(m))...)
+		want = binary.BigEndian.AppendUint32(want, uint32(len(profiles)))
+		want = append(want, framedRecords(profiles)...)
+		if !bytes.Equal(data, want) {
+			t.Fatalf("minute %d segment is %d bytes, the documented framing is %d", m, len(data), len(want))
+		}
+	}
+	checkSegment(0)
+
+	// Shrink the store — minute 0 leaves for its segment — and add a
+	// small minute 1, then pin the snapshot and the spill writer again.
+	uploadMinute(t, 1, 6, 92, sys)
+	if err := st.evictShard(0); err != nil {
+		t.Fatal(err)
+	}
+	checkSnapshot("second")
+	checkSegment(1)
 }
 
 func TestLoadFromRejectsGarbage(t *testing.T) {

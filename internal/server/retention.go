@@ -133,7 +133,12 @@ func (s *Store) trimCold() (int, error) {
 // from memory. The write happens outside the store lock against a
 // versioned copy of the slab; if ingest grows the shard meanwhile the
 // spill restarts, so the segment always matches the dropped state.
+// The whole write-and-drop runs under spillMu: the retention sweep and
+// a reload's trimCold can both pick the same dirty minute, and two
+// spills through its one temp path would tear the segment.
 func (s *Store) evictShard(m int64) error {
+	s.spillMu.Lock()
+	defer s.spillMu.Unlock()
 	start := time.Now()
 	for {
 		sh := s.shard(m)
@@ -196,7 +201,8 @@ func (s *Store) evictShard(m int64) error {
 // writeSegment persists one minute's profiles, in ingest order, to the
 // minute's segment file: temp file, fsync, atomic rename, directory
 // sync — the file is durable before the in-memory shard may be
-// dropped.
+// dropped. Callers hold spillMu, which owns the temp path and the
+// shared spill writer.
 func (s *Store) writeSegment(m int64, profiles []*vp.Profile) error {
 	if s.cfg.SegmentDir == "" {
 		return errors.New("server: no segment directory configured")
@@ -207,36 +213,14 @@ func (s *Store) writeSegment(m int64, profiles []*vp.Profile) error {
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	err = func() error {
-		if _, err := bw.Write(segMagic[:]); err != nil {
-			return err
-		}
-		var hdr [12]byte
-		binary.BigEndian.PutUint64(hdr[:8], uint64(m))
-		binary.BigEndian.PutUint32(hdr[8:], uint32(len(profiles)))
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		for _, p := range profiles {
-			rec := p.Marshal()
-			var rh [5]byte
-			binary.BigEndian.PutUint32(rh[:4], uint32(len(rec)))
-			if p.Trusted {
-				rh[4] = 1
-			}
-			if _, err := bw.Write(rh[:]); err != nil {
-				return err
-			}
-			if _, err := bw.Write(rec); err != nil {
-				return err
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		return f.Sync()
-	}()
+	var head [20]byte
+	copy(head[:8], segMagic[:])
+	binary.BigEndian.PutUint64(head[8:16], uint64(m))
+	binary.BigEndian.PutUint32(head[16:], uint32(len(profiles)))
+	_, err = s.spill.write(f, head[:], profiles)
+	if err == nil {
+		err = f.Sync()
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -179,6 +179,52 @@ func TestViewmapCacheInvalidation(t *testing.T) {
 	}
 }
 
+// TestSiteViewCacheStalestFirstEviction pins the site-viewmap cache's
+// eviction order: with viewmapCacheMax sites cached, a new site evicts
+// the one refreshed least recently and nothing else. Site 0 is cached
+// first but investigated again, so site 1 is the stalest. Evicting an
+// arbitrary map entry instead would pick another site seven times in
+// eight.
+func TestSiteViewCacheStalestFirstEviction(t *testing.T) {
+	s := NewStore()
+	trusted := fabricate(t, 0, 0)
+	trusted.Trusted = true
+	if err := s.Put(trusted); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 5; i++ {
+		if err := s.Put(fabricate(t, 0, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	site := func(i int) geo.Rect {
+		return geo.NewRect(geo.Pt(-50-float64(i), -50), geo.Pt(650, 50))
+	}
+	investigate := func(i int) {
+		t.Helper()
+		if _, err := s.ViewmapFor(site(i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < viewmapCacheMax; i++ {
+		investigate(i)
+	}
+	investigate(0)
+	investigate(viewmapCacheMax)
+
+	sh := s.shard(0)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if len(sh.cache) != viewmapCacheMax {
+		t.Fatalf("cache holds %d sites, want %d", len(sh.cache), viewmapCacheMax)
+	}
+	for i := 0; i <= viewmapCacheMax; i++ {
+		if cached := sh.cache[site(i)] != nil; cached != (i != 1) {
+			t.Errorf("site %d cached = %v; only the stalest site, 1, should be evicted", i, cached)
+		}
+	}
+}
+
 // TestViewmapForMatchesBuild holds the serving path to the batch
 // construction it replaced: the incrementally maintained, cached
 // viewmap must have exactly core.Build's members and edge set over the

@@ -50,6 +50,13 @@ type Store struct {
 	// any evicted minutes serialize rather than duplicating that work.
 	reloadMu sync.Mutex
 
+	// spillMu serializes segment spills (evictShard holds it from the
+	// segment write through the shard drop) and guards spill, the
+	// record writer every segment file reuses. Taken before mu and any
+	// shard mutex, never while holding them.
+	spillMu sync.Mutex
+	spill   recordWriter
+
 	// newestMinute tracks the most recent ingested minute — the
 	// retention horizon's anchor. noMinute until the first ingest.
 	newestMinute atomic.Int64
@@ -135,8 +142,11 @@ type minuteShard struct {
 	// cache holds per-site incremental extractions of the builder's
 	// graph, keyed by site rectangle: each SiteView keeps its induced
 	// subgraph patched under the minute's ingest instead of
-	// re-extracting per epoch. Bounded by viewmapCacheMax.
-	cache map[geo.Rect]*core.SiteView
+	// re-extracting per epoch. Bounded by viewmapCacheMax; a full cache
+	// evicts the site refreshed least recently. cacheSeq stamps the
+	// refreshes.
+	cache    map[geo.Rect]*siteCacheEntry
+	cacheSeq uint64
 	// changed is closed and replaced (under mu) whenever a commit lands
 	// in the shard, waking investigation watch streams; eviction closes
 	// it without replacement. Never nil.
@@ -168,6 +178,13 @@ type minuteShard struct {
 	stopWorker chan struct{}
 	stopOnce   sync.Once
 	workerDone chan struct{}
+}
+
+// siteCacheEntry is one cached site extraction with the shard's
+// cacheSeq stamp of its latest refresh.
+type siteCacheEntry struct {
+	sv   *core.SiteView
+	used uint64
 }
 
 // noMinute is newestMinute's value before the first ingest.
@@ -220,7 +237,7 @@ func (s *Store) newShard(m int64) *minuteShard {
 			DSRCRange:        s.cfg.DSRCRange,
 			RequirePlausible: true,
 		}),
-		cache:   make(map[geo.Rect]*core.SiteView),
+		cache:   make(map[geo.Rect]*siteCacheEntry),
 		changed: make(chan struct{}),
 	}
 	if !s.cfg.DisableViewmapCache {
@@ -706,20 +723,27 @@ func (s *Store) SiteViewmap(site geo.Rect, minute int64) (*core.Viewmap, uint64,
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sv := sh.cache[site]
-	if sv == nil {
+	e := sh.cache[site]
+	if e == nil {
 		if len(sh.cache) >= viewmapCacheMax {
-			// Evict an arbitrary entry; the cache is tiny and a re-created
-			// SiteView only costs one fresh extraction.
-			for k := range sh.cache {
-				delete(sh.cache, k)
-				break
+			// Deterministic LRU: evict the site refreshed least recently,
+			// so which site pays for a fresh extraction never depends on
+			// map iteration order.
+			var stalest geo.Rect
+			found := false
+			for k, c := range sh.cache {
+				if !found || c.used < sh.cache[stalest].used {
+					stalest, found = k, true
+				}
 			}
+			delete(sh.cache, stalest)
 		}
-		sv = core.NewSiteView(sh.builder, site, 0)
-		sh.cache[site] = sv
+		e = &siteCacheEntry{sv: core.NewSiteView(sh.builder, site, 0)}
+		sh.cache[site] = e
 	}
-	return sv.Refresh()
+	sh.cacheSeq++
+	e.used = sh.cacheSeq
+	return e.sv.Refresh()
 }
 
 // MinuteChange returns the minute's current builder epoch and a

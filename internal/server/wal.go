@@ -73,6 +73,10 @@ const (
 // untrusted input.
 const maxWALRecord = 128 << 20
 
+// walFrameOverhead is what framing adds to a record body: u32 payload
+// length, u32 CRC, u64 LSN, u8 type.
+const walFrameOverhead = 17
+
 // walCRC is the Castagnoli table; CRC-32C has hardware support on the
 // platforms the server targets.
 var walCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -93,6 +97,16 @@ type wal struct {
 	synced uint64 // last LSN known durable
 	err    error  // sticky I/O error; the log is dead once set
 	closed bool
+
+	// size is the log's length in bytes, counting what is still
+	// buffered in bw. offs[i] is the file offset of the record with LSN
+	// first+i: the table covers every record appended through this
+	// handle (first is the LSN the handle opened at), so compaction
+	// finds where the records above a barrier start without reading
+	// the file.
+	size  int64
+	offs  []int64
+	first uint64
 
 	interval time.Duration
 	syncReq  chan struct{}
@@ -152,7 +166,8 @@ func openWALForAppend(path string, validSize int64, nextLSN uint64, interval tim
 		f.Close()
 		return nil, err
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -166,6 +181,8 @@ func openWALForAppend(path string, validSize int64, nextLSN uint64, interval tim
 		next:     nextLSN,
 		buffed:   nextLSN - 1,
 		synced:   nextLSN - 1,
+		size:     size,
+		first:    nextLSN,
 		interval: interval,
 		syncReq:  make(chan struct{}, 1),
 		syncDone: make(chan struct{}),
@@ -202,7 +219,7 @@ func (w *wal) Append(typ byte, body []byte, onAssign func(lsn uint64)) (uint64, 
 		w.mu.Unlock()
 		return 0, err
 	}
-	w.buffed = lsn
+	w.noteBuffered(lsn, len(body))
 	if onAssign != nil {
 		onAssign(lsn)
 	}
@@ -255,7 +272,7 @@ func (w *wal) AppendVec(typ byte, frags [][]byte, onAssign func(lsn uint64)) (ui
 		w.mu.Unlock()
 		return 0, err
 	}
-	w.buffed = lsn
+	w.noteBuffered(lsn, size)
 	if onAssign != nil {
 		onAssign(lsn)
 	}
@@ -268,6 +285,15 @@ func (w *wal) AppendVec(typ byte, frags [][]byte, onAssign func(lsn uint64)) (ui
 		w.cond.Wait()
 	}
 	return lsn, w.err
+}
+
+// noteBuffered advances the buffered watermark past record lsn, just
+// framed into bw with a bodyLen-byte body, and enters the record's
+// offset in the table; callers hold mu.
+func (w *wal) noteBuffered(lsn uint64, bodyLen int) {
+	w.buffed = lsn
+	w.offs = append(w.offs, w.size)
+	w.size += walFrameOverhead + int64(bodyLen)
 }
 
 // fail records a sticky I/O error and wakes every waiter; callers hold mu.
@@ -335,8 +361,18 @@ func (w *wal) SyncedLSN() uint64 {
 // truncateThrough drops every record with LSN <= lsn by compacting the
 // log into a fresh file and atomically renaming it into place — the
 // snapshotter calls this after a snapshot covering lsn is durable.
-// Appends block for the duration; the log tail between snapshots is
-// small by construction.
+//
+// The records above the barrier are the byte range from the first
+// survivor's offset to the end of the file, so compaction copies that
+// range into the fresh log with one io.CopyN. Appends block while it
+// copies and runs its fsyncs, rename and directory sync; the tail
+// between snapshots is small by construction.
+//
+// Every record already in the file when this handle opened was
+// replayed into the state the first snapshot covers, so it is at or
+// below any barrier the snapshotter computes, and the offset table
+// covers every record that can survive. A barrier below the handle's
+// first LSN breaks that invariant and is refused.
 func (w *wal) truncateThrough(lsn uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -345,6 +381,9 @@ func (w *wal) truncateThrough(lsn uint64) error {
 			return w.err
 		}
 		return errWALClosed
+	}
+	if lsn+1 < w.first {
+		return fmt.Errorf("server: WAL compaction barrier %d is below LSN %d, where this log handle opened", lsn, w.first)
 	}
 	// Make the current tail readable and durable first.
 	if err := w.bw.Flush(); err != nil {
@@ -358,58 +397,37 @@ func (w *wal) truncateThrough(lsn uint64) error {
 	w.synced = w.buffed
 	w.cond.Broadcast()
 
+	keep := min(lsn+1-w.first, uint64(len(w.offs))) // index of the first survivor
+	start := w.size
+	if keep < uint64(len(w.offs)) {
+		start = w.offs[keep]
+	}
 	src, err := os.Open(w.path)
 	if err != nil {
 		return err
 	}
-	st, err := src.Stat()
-	if err != nil {
-		src.Close()
+	defer src.Close()
+	if _, err := src.Seek(start, io.SeekStart); err != nil {
 		return err
 	}
 	tmpPath := w.path + ".tmp"
 	tmp, err := os.Create(tmpPath)
 	if err != nil {
-		src.Close()
 		return err
 	}
-	bwTmp := bufio.NewWriterSize(tmp, 1<<20)
-	if _, err := bwTmp.Write(walMagic[:]); err != nil {
-		src.Close()
-		tmp.Close()
+	_, err = tmp.Write(walMagic[:])
+	if err == nil {
+		_, err = io.CopyN(tmp, src, w.size-start)
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmpPath)
 		return err
-	}
-	srcBR := bufio.NewReaderSize(src, 1<<20)
-	var magic [8]byte
-	scanErr := func() error {
-		if _, err := io.ReadFull(srcBR, magic[:]); err != nil {
-			return err
-		}
-		if magic != walMagic {
-			return errors.New("server: not a ViewMap WAL file")
-		}
-		_, _, err := walScan(srcBR, st.Size(), func(recLSN uint64, typ byte, body []byte) error {
-			if recLSN <= lsn {
-				return nil
-			}
-			return walWriteRecord(bwTmp, recLSN, typ, body)
-		})
-		return err
-	}()
-	src.Close()
-	if scanErr == nil {
-		scanErr = bwTmp.Flush()
-	}
-	if scanErr == nil {
-		scanErr = tmp.Sync()
-	}
-	if err := tmp.Close(); scanErr == nil {
-		scanErr = err
-	}
-	if scanErr != nil {
-		os.Remove(tmpPath)
-		return scanErr
 	}
 	if err := os.Rename(tmpPath, w.path); err != nil {
 		os.Remove(tmpPath)
@@ -430,6 +448,14 @@ func (w *wal) truncateThrough(lsn uint64) error {
 	w.f.Close()
 	w.f = nf
 	w.bw.Reset(nf)
+	// Rebase the offset table onto the compacted file.
+	shift := start - int64(len(walMagic))
+	w.offs = w.offs[:copy(w.offs, w.offs[keep:])]
+	for i := range w.offs {
+		w.offs[i] -= shift
+	}
+	w.size -= shift
+	w.first += keep
 	return nil
 }
 
@@ -470,10 +496,10 @@ func (w *wal) abort() {
 	<-w.syncDone
 }
 
-// walWriteRecord frames one record onto w (compaction path; the append
-// path inlines the same framing under the log lock).
+// walWriteRecord frames one record onto w (Append's encoding; replay
+// tests build logs with it too).
 func walWriteRecord(w io.Writer, lsn uint64, typ byte, body []byte) error {
-	var hdr [17]byte
+	var hdr [walFrameOverhead]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(9+len(body)))
 	binary.BigEndian.PutUint64(hdr[8:16], lsn)
 	hdr[16] = typ
@@ -492,7 +518,7 @@ func walWriteRecord(w io.Writer, lsn uint64, typ byte, body []byte) error {
 // Byte-for-byte identical on disk to walWriteRecord of the assembled
 // body.
 func walWriteRecordVec(w io.Writer, lsn uint64, typ byte, frags [][]byte, size int) error {
-	var hdr [17]byte
+	var hdr [walFrameOverhead]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(9+size))
 	binary.BigEndian.PutUint64(hdr[8:16], lsn)
 	hdr[16] = typ

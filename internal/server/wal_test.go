@@ -216,6 +216,151 @@ func TestWALTruncateThrough(t *testing.T) {
 	}
 }
 
+// compactBody is the deterministic body of the record with LSN lsn:
+// lengths vary so record offsets are irregular, and LSN 3 is empty.
+func compactBody(lsn uint64) []byte {
+	return bytes.Repeat([]byte{byte(lsn)}, int(lsn*37%300))
+}
+
+// walOp is one step of a compaction scenario: append n records
+// (odd LSNs through AppendVec in three fragments, even LSNs through
+// Append), compact through barrier (wantErr: the log must refuse it),
+// or close and reopen the log the way recovery does.
+type walOp struct {
+	append  int
+	compact bool
+	barrier uint64
+	wantErr bool
+	reopen  bool
+}
+
+// TestWALCompactByteRange drives byte-range compaction through every
+// barrier of a six-record log (nothing, part, or all surviving), after
+// a reopen over replayed records, and repeatedly in a row. After every
+// step the log must hold exactly the records above the last barrier,
+// framed byte for byte as Append wrote them, and the next append must
+// continue the LSN sequence.
+func TestWALCompactByteRange(t *testing.T) {
+	type walCase struct {
+		name string
+		ops  []walOp
+	}
+	var cases []walCase
+	for b := uint64(0); b <= 6; b++ {
+		cases = append(cases, walCase{fmt.Sprintf("barrier%d", b), []walOp{
+			{append: 6}, {compact: true, barrier: b}, {append: 2},
+		}})
+	}
+	cases = append(cases,
+		walCase{"reopenDropReplayed", []walOp{
+			{append: 4}, {reopen: true}, {append: 2}, {compact: true, barrier: 4}, {append: 1},
+		}},
+		walCase{"reopenPartial", []walOp{
+			{append: 4}, {reopen: true}, {append: 3}, {compact: true, barrier: 5}, {append: 1},
+		}},
+		walCase{"reopenAllDropped", []walOp{
+			{append: 4}, {reopen: true}, {append: 2}, {compact: true, barrier: 6}, {append: 1},
+		}},
+		walCase{"reopenBarrierBelowHandle", []walOp{
+			{append: 4}, {reopen: true}, {append: 2}, {compact: true, barrier: 2, wantErr: true}, {append: 1},
+		}},
+		walCase{"twiceInARow", []walOp{
+			{append: 6}, {compact: true, barrier: 2}, {compact: true, barrier: 4}, {append: 2},
+			{compact: true, barrier: 4}, {compact: true, barrier: 8}, {append: 1},
+		}},
+		walCase{"compactedThenReopened", []walOp{
+			{append: 5}, {compact: true, barrier: 3}, {reopen: true}, {append: 2},
+			{compact: true, barrier: 6}, {append: 1},
+		}},
+	)
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ingest.wal")
+			w, err := openWALForAppend(path, 0, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { w.Close() }()
+			var want []walRec // the model: records the file must hold
+			next := uint64(1)
+			for i, op := range tc.ops {
+				switch {
+				case op.append > 0:
+					for j := 0; j < op.append; j++ {
+						lsn, body := next, compactBody(next)
+						var got uint64
+						if lsn%2 == 1 {
+							got, err = w.AppendVec(walRecVPBatch, [][]byte{body[:len(body)/3], nil, body[len(body)/3:]}, nil)
+						} else {
+							got, err = w.Append(walRecRedeem, body, nil)
+						}
+						if err != nil || got != lsn {
+							t.Fatalf("step %d: append got LSN %d err %v, want LSN %d", i, got, err, lsn)
+						}
+						typ := walRecRedeem
+						if lsn%2 == 1 {
+							typ = walRecVPBatch
+						}
+						want = append(want, walRec{lsn, typ, body})
+						next++
+					}
+				case op.compact:
+					err := w.truncateThrough(op.barrier)
+					if op.wantErr {
+						if err == nil {
+							t.Fatalf("step %d: barrier %d below the handle's first LSN was accepted", i, op.barrier)
+						}
+						break
+					}
+					if err != nil {
+						t.Fatalf("step %d: compacting through %d: %v", i, op.barrier, err)
+					}
+					kept := want[:0]
+					for _, r := range want {
+						if r.lsn > op.barrier {
+							kept = append(kept, r)
+						}
+					}
+					want = kept
+				case op.reopen:
+					if err := w.Close(); err != nil {
+						t.Fatal(err)
+					}
+					_, valid, _, err := replayWALFile(path, 0, func(uint64, byte, []byte) error { return nil })
+					if err != nil {
+						t.Fatal(err)
+					}
+					if w, err = openWALForAppend(path, valid, next, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				frames := bytes.NewBuffer(append([]byte(nil), walMagic[:]...))
+				for _, r := range want {
+					walWriteRecord(frames, r.lsn, r.typ, r.body)
+				}
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(data, frames.Bytes()) {
+					t.Fatalf("step %d: log is %d bytes, want the %d-byte framing of %d records", i, len(data), frames.Len(), len(want))
+				}
+				got := scanAll(t, path)
+				if len(got) != len(want) {
+					t.Fatalf("step %d: replayed %d records, want %d", i, len(got), len(want))
+				}
+				for k := range want {
+					if got[k].lsn != want[k].lsn || got[k].typ != want[k].typ || !bytes.Equal(got[k].body, want[k].body) {
+						t.Fatalf("step %d: record %d is LSN %d type %d, want LSN %d type %d", i, k, got[k].lsn, got[k].typ, want[k].lsn, want[k].typ)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestWALHostileLength pins the hostile-prefix hardening: a record
 // header claiming far more than the file holds is a torn tail, not an
 // allocation — replay must return instantly with the intact prefix.

@@ -632,24 +632,40 @@ func LinkMutually(a, b *Profile) error {
 // the VD wire records, the filter hash count, and the filter bit
 // array. The format carries no owner-identifying data.
 func (p *Profile) Marshal() []byte {
-	out := make([]byte, 0, 8+len(p.VDs)*vd.WireSize+FilterBits/8)
+	return p.AppendMarshal(make([]byte, 0, p.WireLen()))
+}
+
+// WireLen returns the byte length of the profile's wire record (what
+// Marshal returns) without marshalling it. The length is fixed by the
+// digest count and the filter size, so a writer can frame a stream of
+// records before encoding any of them.
+func (p *Profile) WireLen() int {
+	filter := FilterBits / 8
+	if p.Neighbors != nil {
+		filter = p.Neighbors.Bits() / 8
+	}
+	return 6 + len(p.VDs)*vd.WireSize + filter
+}
+
+// AppendMarshal appends the profile's wire record (see Marshal) to dst
+// and returns the extended slice. Marshalling into a reused buffer
+// allocates nothing once the buffer has room for WireLen more bytes.
+func (p *Profile) AppendMarshal(dst []byte) []byte {
 	var hdr [6]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(p.VDs)))
 	if p.Neighbors != nil {
 		hdr[4] = byte(p.Neighbors.K())
 	}
 	hdr[5] = 0 // reserved
-	out = append(out, hdr[:]...)
+	dst = append(dst, hdr[:]...)
 	for i := range p.VDs {
 		enc := p.VDs[i].Encode()
-		out = append(out, enc[:]...)
+		dst = append(dst, enc[:]...)
 	}
 	if p.Neighbors != nil {
-		out = append(out, p.Neighbors.Bytes()...)
-	} else {
-		out = append(out, make([]byte, FilterBits/8)...)
+		return p.Neighbors.AppendBytes(dst)
 	}
-	return out
+	return append(dst, make([]byte, FilterBits/8)...)
 }
 
 // MarshalBatch serializes profiles for the batched anonymous upload

@@ -1,6 +1,8 @@
 package vp
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -314,6 +316,44 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 		key := pa.VDs[i].Key()
 		if back.Neighbors.Test(key) != pa.Neighbors.Test(key) {
 			t.Fatal("round trip changed filter behaviour")
+		}
+	}
+}
+
+// TestAppendMarshalWireLayout pins the wire record against the layout
+// assembled by hand from its parts (header, VD.Encode per digest,
+// filter bytes), and checks that WireLen predicts its length and that
+// AppendMarshal into a buffer with room allocates nothing.
+func TestAppendMarshalWireLayout(t *testing.T) {
+	pa, pb := buildPair(t, 50)
+	partial := &Profile{VDs: pb.VDs[:7]}
+	for _, p := range []*Profile{pa, pb, partial} {
+		want := binary.BigEndian.AppendUint32(nil, uint32(len(p.VDs)))
+		filter := make([]byte, FilterBits/8)
+		k := 0
+		if p.Neighbors != nil {
+			filter, k = p.Neighbors.Bytes(), p.Neighbors.K()
+		}
+		want = append(want, byte(k), 0)
+		for i := range p.VDs {
+			enc := p.VDs[i].Encode()
+			want = append(want, enc[:]...)
+		}
+		want = append(want, filter...)
+
+		if got := p.Marshal(); !bytes.Equal(got, want) {
+			t.Fatalf("%d-digest profile: Marshal diverges from the documented layout", len(p.VDs))
+		}
+		if p.WireLen() != len(want) {
+			t.Fatalf("%d-digest profile: WireLen %d, record is %d bytes", len(p.VDs), p.WireLen(), len(want))
+		}
+		prefix := []byte("prefix")
+		if got := p.AppendMarshal(prefix); !bytes.Equal(got, append(prefix, want...)) {
+			t.Fatalf("%d-digest profile: AppendMarshal does not extend its prefix with the record", len(p.VDs))
+		}
+		buf := make([]byte, 0, p.WireLen())
+		if allocs := testing.AllocsPerRun(10, func() { buf = p.AppendMarshal(buf[:0]) }); allocs != 0 {
+			t.Fatalf("%d-digest profile: AppendMarshal into a sized buffer allocates %.0f times", len(p.VDs), allocs)
 		}
 	}
 }
