@@ -142,8 +142,9 @@ coverage:
 		|| { echo "coverage regressed below the recorded baseline"; exit 1; }
 
 # Native fuzzing over the untrusted decoders: the anonymous VP wire
-# format, the batched-upload framing, the state-restore sniffing, and
-# the WAL replay path (framing scanner + every record-body decoder).
+# format, the batched-upload framing, the state-restore sniffing, the
+# WAL replay path (framing scanner + every record-body decoder), and
+# the minute-segment reader with the graph restore behind it.
 # Each target gets FUZZTIME of coverage-guided input generation on top
 # of the checked-in seed corpus; -fuzzminimizetime keeps minimization
 # of interesting inputs from eating the budget on small machines.
@@ -152,6 +153,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSplitBatch -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x -run=NONE ./internal/vp/
 	$(GO) test -fuzz=FuzzSystemLoadFrom -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x -run=NONE ./internal/server/
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x -run=NONE ./internal/server/
+	$(GO) test -fuzz=FuzzSegmentRead -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x -run=NONE ./internal/server/
 
 # Hot-path micro-benchmarks with allocation reporting.
 bench-micro:

@@ -37,6 +37,10 @@ import (
 // graphs by construction. The contract: between Stage and
 // CommitStaged the builder accepts no concurrent access of any kind;
 // CommitStaged alone must be serialized against readers (ViewmapFor).
+//
+// StageLinked is Stage's restore twin: it takes a node's viewlinks as
+// LowerLinks saved them instead of probing candidates, so a graph
+// written out with its links comes back without relinking.
 
 // gridRebuildMin is the smallest ungridded tail that triggers a grid
 // rebuild. Below it, the linear tail scan is cheaper than rebuilding.
@@ -251,6 +255,67 @@ func (b *IncrementalBuilder) Add(p *vp.Profile) (bool, error) {
 // shard lock; it must never run concurrently with itself, with
 // CommitStaged, or with AbandonStaged.
 func (b *IncrementalBuilder) Stage(p *vp.Profile) (bool, error) {
+	if ok, err := b.admit(p); !ok {
+		return false, err
+	}
+	box, wb := trajectoryBoxes(p)
+	// Link the newcomer against every existing node — committed and
+	// staged: grid candidates from the gridded prefix, then a linear
+	// scan of the ungridded tail.
+	neighbors := b.linkCandidates(p, box, &wb, b.total())
+	sort.Ints(neighbors)
+	b.push(p, box, &wb, neighbors)
+	return true, nil
+}
+
+// StageLinked is Stage with the viewlinks already known: it runs
+// Stage's admission and its box, window-box and grid bookkeeping, but
+// takes links — the node's neighbours with smaller ids, as LowerLinks
+// reported them when the graph was saved — instead of probing
+// candidates. Feeding a saved minute's profiles back in their original
+// order, each with its saved list, and committing once restores the
+// graph and the staging state that the original Adds built. Links must
+// be strictly ascending ids below the new node's id; anything else is
+// an error and stages nothing. A profile that fails admission returns
+// (false, nil) without consuming its links. The builder keeps links as
+// the node's adjacency, so the caller must not modify it afterwards.
+func (b *IncrementalBuilder) StageLinked(p *vp.Profile, links []int) (bool, error) {
+	if ok, err := b.admit(p); !ok {
+		return false, err
+	}
+	node := b.total()
+	for i, nb := range links {
+		if nb < 0 || nb >= node || (i > 0 && nb <= links[i-1]) {
+			return false, fmt.Errorf("core: saved link %d of node %d is not a strictly ascending id below it", nb, node)
+		}
+	}
+	box, wb := trajectoryBoxes(p)
+	// Clip the capacity: CommitStaged appends later neighbours to the
+	// list, which must never spill into memory the caller shares.
+	b.push(p, box, &wb, links[:len(links):len(links)])
+	return true, nil
+}
+
+// LowerLinks returns every committed node's neighbours with smaller
+// ids, ascending, in node order: the lists Stage resolved for the
+// nodes, which StageLinked takes back. Call it where ViewmapFor may be
+// called (serialized against CommitStaged). The lists share the
+// builder's adjacency, yet stay valid without the lock afterwards:
+// commits only append larger ids past each list's end. Callers must
+// not modify them.
+func (b *IncrementalBuilder) LowerLinks() [][]int {
+	out := make([][]int, len(b.adj))
+	for i, a := range b.adj {
+		k := sort.SearchInts(a, i)
+		out[i] = a[:k:k]
+	}
+	return out
+}
+
+// admit runs Stage's admission checks: a profile from another minute is
+// an error; an implausible trajectory (when RequirePlausible is set)
+// or an identifier already committed or staged is dropped.
+func (b *IncrementalBuilder) admit(p *vp.Profile) (bool, error) {
 	if m := p.Minute(); m != b.cfg.Minute {
 		return false, fmt.Errorf("core: profile minute %d, builder maintains %d", m, b.cfg.Minute)
 	}
@@ -264,8 +329,12 @@ func (b *IncrementalBuilder) Stage(p *vp.Profile) (bool, error) {
 	if _, dup := b.pendingIndex[id]; dup {
 		return false, nil
 	}
+	return true, nil
+}
 
-	node := b.total()
+// trajectoryBoxes returns a profile's trajectory bounding box and its
+// per-window boxes.
+func trajectoryBoxes(p *vp.Profile) (geo.Rect, [linkWindows]wbox) {
 	box := geo.Rect{Min: p.VDs[0].L, Max: p.VDs[0].L}
 	var exact [linkWindows]geo.Rect
 	for i := range p.VDs {
@@ -281,19 +350,17 @@ func (b *IncrementalBuilder) Stage(p *vp.Profile) (bool, error) {
 	for w, n := 0, len(p.VDs); w*linkWindowLen < n; w++ {
 		wb[w] = wboxOf(exact[w])
 	}
+	return box, wb
+}
 
-	// Link the newcomer against every existing node — committed and
-	// staged: grid candidates from the gridded prefix, then a linear
-	// scan of the ungridded tail.
-	neighbors := b.linkCandidates(p, box, &wb, node)
-	sort.Ints(neighbors)
-
-	b.pendingIndex[id] = node
+// push queues an admitted profile with its resolved neighbours and
+// records its boxes for later candidate enumeration.
+func (b *IncrementalBuilder) push(p *vp.Profile, box geo.Rect, wb *[linkWindows]wbox, neighbors []int) {
+	b.pendingIndex[p.ID()] = b.total()
 	b.pending = append(b.pending, stagedProfile{p: p, neighbors: neighbors})
 	b.boxes = append(b.boxes, box)
 	b.wboxes = append(b.wboxes, wb[:]...)
 	b.maybeRebuildGrid()
-	return true, nil
 }
 
 // CommitStaged splices every staged profile into the reader-visible

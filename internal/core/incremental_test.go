@@ -20,45 +20,11 @@ func TestIncrementalEquivalenceProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence sweep is not short")
 	}
-	type scenario struct {
-		n       int
-		side    float64
-		rangeM  float64
-		cluster int
-		fpHeavy bool
-	}
-	var scenarios []scenario
-	for seed := 0; seed < 14; seed++ {
-		scenarios = append(scenarios, scenario{
-			n:       30 + (seed*41)%220,
-			side:    1200 + float64(seed%5)*800,
-			rangeM:  150 + float64(seed%4)*125,
-			cluster: (seed % 3) * 12,
-			fpHeavy: seed%2 == 1,
-		})
-	}
-	for si, sc := range scenarios {
+	for si, sc := range equivScenarios() {
 		sc := sc
 		t.Run(fmt.Sprintf("seed=%d/n=%d/fp=%v", si, sc.n, sc.fpHeavy), func(t *testing.T) {
 			t.Parallel()
-			seed := int64(4000 + si)
-			rng := rand.New(rand.NewSource(seed))
-			area := geo.NewRect(geo.Pt(0, 0), geo.Pt(sc.side, sc.side))
-			profiles, err := SynthesizeLegitimate(SynthConfig{
-				N: sc.n, Area: area, Seed: seed, DSRCRange: sc.rangeM,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sc.cluster > 0 {
-				profiles = append(profiles, stackedCluster(t, area.Center(), sc.cluster, 0, rng)...)
-			}
-			if sc.fpHeavy {
-				for _, p := range profiles {
-					pollute(p, 1500, rng)
-				}
-			}
-			MarkTrustedNearest(profiles, area.Center())
+			profiles, area, rng := sc.arena(t, si)
 
 			// Arbitrary interleaving: a random permutation of the
 			// profiles, ingested through a random mix of Add and
@@ -114,6 +80,236 @@ func TestIncrementalEquivalenceProperty(t *testing.T) {
 				t.Fatalf("coverage diverges: %+v vs %+v", inc.Coverage, batch.Coverage)
 			}
 		})
+	}
+}
+
+// equivScenario is one randomized arena of the incremental equivalence
+// property: n synthesized profiles on a side×side square linked at
+// rangeM, plus a co-located stacked cluster and Bloom false-positive
+// pollution when set.
+type equivScenario struct {
+	n       int
+	side    float64
+	rangeM  float64
+	cluster int
+	fpHeavy bool
+}
+
+// equivScenarios lists the property's fourteen arenas.
+func equivScenarios() []equivScenario {
+	var scenarios []equivScenario
+	for seed := 0; seed < 14; seed++ {
+		scenarios = append(scenarios, equivScenario{
+			n:       30 + (seed*41)%220,
+			side:    1200 + float64(seed%5)*800,
+			rangeM:  150 + float64(seed%4)*125,
+			cluster: (seed % 3) * 12,
+			fpHeavy: seed%2 == 1,
+		})
+	}
+	return scenarios
+}
+
+// arena synthesizes scenario si's minute-0 profiles, with the trusted
+// VP nearest the centre marked, and returns them with the area and the
+// scenario's random source for the caller's further draws.
+func (sc equivScenario) arena(t *testing.T, si int) ([]*vp.Profile, geo.Rect, *rand.Rand) {
+	t.Helper()
+	seed := int64(4000 + si)
+	rng := rand.New(rand.NewSource(seed))
+	area := geo.NewRect(geo.Pt(0, 0), geo.Pt(sc.side, sc.side))
+	profiles, err := SynthesizeLegitimate(SynthConfig{
+		N: sc.n, Area: area, Seed: seed, DSRCRange: sc.rangeM,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.cluster > 0 {
+		profiles = append(profiles, stackedCluster(t, area.Center(), sc.cluster, 0, rng)...)
+	}
+	if sc.fpHeavy {
+		for _, p := range profiles {
+			pollute(p, 1500, rng)
+		}
+	}
+	MarkTrustedNearest(profiles, area.Center())
+	return profiles, area, rng
+}
+
+// TestStageLinkedRestoresAddedGraph is the restore half of the
+// evict-then-reload invariant. Over every arena of the equivalence
+// property, with implausible and duplicate profiles mixed into the
+// stream, a builder restored through StageLinked from another's
+// LowerLinks must equal the builder that Add built — profile order,
+// adjacency, trusted set, epoch, edge count, candidate boxes and the
+// viewmap at several sites — and must stay equal to it under further
+// Adds, which run on the restored staging state.
+func TestStageLinkedRestoresAddedGraph(t *testing.T) {
+	if testing.Short() {
+		t.Skip("restore sweep is not short")
+	}
+	for si, sc := range equivScenarios() {
+		sc := sc
+		t.Run(fmt.Sprintf("seed=%d/n=%d/fp=%v", si, sc.n, sc.fpHeavy), func(t *testing.T) {
+			t.Parallel()
+			profiles, area, rng := sc.arena(t, si)
+			for i := 0; i < 2; i++ {
+				profiles[rng.Intn(len(profiles))].Trusted = true
+			}
+			for i := 0; i < 6; i++ {
+				profiles = append(profiles, teleporter(t, area, rng))
+			}
+			stream := append([]*vp.Profile(nil), profiles...)
+			for i := 0; i < 8; i++ {
+				stream = append(stream, stream[rng.Intn(len(stream))])
+			}
+			rng.Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
+			saved, later := stream[:len(stream)*2/3], stream[len(stream)*2/3:]
+
+			cfg := IncrementalConfig{Minute: 0, DSRCRange: sc.rangeM, RequirePlausible: true}
+			added := NewIncrementalBuilder(cfg)
+			for _, p := range saved {
+				if _, err := added.Add(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if added.Len() == len(saved) {
+				t.Fatal("every saved profile joined the graph; the stream must mix in quarantined and duplicate ones")
+			}
+			links := added.LowerLinks()
+			restored := NewIncrementalBuilder(cfg)
+			node := 0
+			for _, p := range saved {
+				var nbs []int
+				if node < len(links) {
+					nbs = links[node]
+				}
+				ok, err := restored.StageLinked(p, nbs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok {
+					node++
+				}
+			}
+			if node != len(links) {
+				t.Fatalf("restore admitted %d profiles, the saved graph has %d nodes", node, len(links))
+			}
+			restored.CommitStaged()
+
+			sites := []geo.Rect{
+				geo.RectAround(area.Center(), 200),
+				geo.RectAround(geo.Pt(area.Min.X+sc.side/4, area.Min.Y+sc.side/4), 150),
+				geo.RectAround(geo.Pt(area.Max.X-sc.side/5, area.Min.Y+sc.side/3), 250),
+			}
+			buildersEqual(t, "restored", restored, added, sites)
+			for _, p := range later {
+				okR, errR := restored.Add(p)
+				okA, errA := added.Add(p)
+				if okR != okA || (errR == nil) != (errA == nil) {
+					t.Fatalf("further Add diverges: restored (%v, %v), added (%v, %v)", okR, errR, okA, errA)
+				}
+			}
+			buildersEqual(t, "restored then added to", restored, added, sites)
+		})
+	}
+}
+
+// teleporter fabricates a minute-0 profile inside area whose trajectory
+// moves 1 km per second, which RequirePlausible quarantines.
+func teleporter(t *testing.T, area geo.Rect, rng *rand.Rand) *vp.Profile {
+	t.Helper()
+	track := make([]geo.Point, 60)
+	y := area.Min.Y + rng.Float64()*(area.Max.Y-area.Min.Y)
+	for i := range track {
+		track[i] = geo.Pt(area.Min.X+float64(i%2)*1000, y)
+	}
+	p, err := FabricateProfile(track, 0, 0, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// buildersEqual fails unless got and want hold the same graph and the
+// same candidate-enumeration state, and extract identical viewmaps at
+// every site.
+func buildersEqual(t *testing.T, label string, got, want *IncrementalBuilder, sites []geo.Rect) {
+	t.Helper()
+	if len(got.profiles) != len(want.profiles) {
+		t.Fatalf("%s: %d profiles, want %d", label, len(got.profiles), len(want.profiles))
+	}
+	for i := range want.profiles {
+		if got.profiles[i] != want.profiles[i] {
+			t.Fatalf("%s: profile order diverges at node %d", label, i)
+		}
+	}
+	adjEqual(t, label, got.adj, want.adj)
+	if fmt.Sprint(got.trusted) != fmt.Sprint(want.trusted) {
+		t.Fatalf("%s: trusted %v, want %v", label, got.trusted, want.trusted)
+	}
+	if got.Epoch() != want.Epoch() || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("%s: epoch %d / %d edges, want %d / %d", label, got.Epoch(), got.NumEdges(), want.Epoch(), want.NumEdges())
+	}
+	if fmt.Sprint(got.boxes) != fmt.Sprint(want.boxes) || fmt.Sprint(got.wboxes) != fmt.Sprint(want.wboxes) || got.gridN != want.gridN {
+		t.Fatalf("%s: candidate boxes or grid coverage diverge", label)
+	}
+	for _, site := range sites {
+		g, gerr := got.ViewmapFor(site, 0)
+		w, werr := want.ViewmapFor(site, 0)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("%s: ViewmapFor errors diverge: %v vs %v", label, gerr, werr)
+		}
+		if werr != nil {
+			continue
+		}
+		if g.Len() != w.Len() || g.Coverage != w.Coverage || fmt.Sprint(g.Trusted) != fmt.Sprint(w.Trusted) {
+			t.Fatalf("%s: viewmap at %+v diverges", label, site)
+		}
+		for i := range w.Profiles {
+			if g.Profiles[i] != w.Profiles[i] {
+				t.Fatalf("%s: viewmap member order diverges at %d", label, i)
+			}
+		}
+		adjEqual(t, label+" viewmap", g.Adj, w.Adj)
+	}
+}
+
+// TestStageLinkedRejectsTamperedLinks feeds StageLinked saved lists no
+// LowerLinks could have produced — an id at or above the new node, a
+// negative id, an unsorted or repeated id — and checks each is refused
+// without staging anything, after which a valid list still stages.
+func TestStageLinkedRejectsTamperedLinks(t *testing.T) {
+	area := geo.NewRect(geo.Pt(0, 0), geo.Pt(600, 600))
+	profiles, err := SynthesizeLegitimate(SynthConfig{N: 4, Area: area, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		links []int
+	}{
+		{"own id", []int{0, 3}},
+		{"above", []int{1, 7}},
+		{"negative", []int{-1, 2}},
+		{"unsorted", []int{2, 0}},
+		{"repeated", []int{1, 1}},
+	} {
+		b := NewIncrementalBuilder(IncrementalConfig{Minute: 0})
+		for _, p := range profiles[:3] {
+			if ok, err := b.StageLinked(p, nil); err != nil || !ok {
+				t.Fatalf("%s: valid StageLinked = (%v, %v)", tc.name, ok, err)
+			}
+		}
+		if ok, err := b.StageLinked(profiles[3], tc.links); err == nil || ok {
+			t.Fatalf("%s: StageLinked(%v) = (%v, %v), want refused", tc.name, tc.links, ok, err)
+		}
+		if ok, err := b.StageLinked(profiles[3], []int{0, 2}); err != nil || !ok {
+			t.Fatalf("%s: valid StageLinked after a refusal = (%v, %v)", tc.name, ok, err)
+		}
+		if n := b.CommitStaged(); n != 4 || b.NumEdges() != 2 {
+			t.Fatalf("%s: committed %d nodes with %d edges, want 4 with 2", tc.name, n, b.NumEdges())
+		}
 	}
 }
 

@@ -12,9 +12,11 @@ import (
 	"errors"
 	"image"
 	"math/big"
+	mrand "math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -85,6 +87,22 @@ func uploadMinute(t testing.TB, minute int64, n int, seed int64, systems ...*Sys
 			t.Fatalf("minute %d: stored %d of %d", minute, res.Stored, len(anon))
 		}
 	}
+}
+
+// implausibleProfile fabricates a valid profile of the given minute
+// whose trajectory moves 1 km per second: the store keeps it, the
+// linker quarantines it.
+func implausibleProfile(t testing.TB, minute, seed int64) *vp.Profile {
+	t.Helper()
+	track := make([]geo.Point, vd.SegmentSeconds)
+	for i := range track {
+		track[i] = geo.Pt(float64(i)*1000, 700)
+	}
+	p, err := core.FabricateProfile(track, minute, 0, mrand.New(mrand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // durOwner is an evidence-owner fixture: VP, ownership secret, video.
@@ -341,12 +359,25 @@ func TestDurableRecoverMidSnapshotRename(t *testing.T) {
 	}
 }
 
+// shardStat returns the ShardStat of a resident minute.
+func shardStat(t testing.TB, sys *System, m int64) ShardStat {
+	t.Helper()
+	for _, st := range sys.Store().ShardStats() {
+		if st.Minute == m {
+			return st
+		}
+	}
+	t.Fatalf("minute %d is not resident", m)
+	return ShardStat{}
+}
+
 // TestEvictReloadEquality streams six minutes through a system with a
 // two-minute horizon, evicting as it goes, and checks the retention
 // invariants: the resident set stays bounded, investigations against
 // evicted minutes return verdicts identical to an always-resident
-// control, duplicate rejection still covers evicted identifiers, and
-// a late ingest into an evicted minute merges into the minute's full
+// control, a reloaded minute keeps its quarantine count and its epoch,
+// duplicate rejection still covers evicted identifiers, and a late
+// ingest into an evicted minute merges into the minute's full
 // population.
 func TestEvictReloadEquality(t *testing.T) {
 	dir := t.TempDir()
@@ -357,6 +388,12 @@ func TestEvictReloadEquality(t *testing.T) {
 	const minutes = 6
 	for m := int64(0); m < minutes; m++ {
 		uploadMinute(t, m, 20, 10+m, sys, control)
+		// A quarantined profile rides in every segment without a node.
+		for _, target := range []*System{sys, control} {
+			if err := target.UploadVP(implausibleProfile(t, m, 60+m).Marshal()); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if _, err := sys.Store().ApplyRetention(); err != nil {
 			t.Fatal(err)
 		}
@@ -378,6 +415,13 @@ func TestEvictReloadEquality(t *testing.T) {
 	for _, m := range []int64{0, 2, 1} {
 		if got, want := report(t, sys, m), report(t, control, m); !reflect.DeepEqual(got, want) {
 			t.Fatalf("minute %d: evicted verdicts diverge from resident control", m)
+		}
+		got, want := shardStat(t, sys, m), shardStat(t, control, m)
+		if got != want || want.Quarantined != 1 {
+			t.Fatalf("minute %d: reloaded shard %+v, resident control %+v (one quarantined)", m, got, want)
+		}
+		if got, want := sys.Store().MinuteEpoch(m), control.Store().MinuteEpoch(m); got != want {
+			t.Fatalf("minute %d: reloaded epoch %d, resident control %d", m, got, want)
 		}
 		if _, err := sys.Store().ApplyRetention(); err != nil {
 			t.Fatal(err)
@@ -415,6 +459,104 @@ func TestEvictReloadEquality(t *testing.T) {
 	}
 	if got, want := report(t, sys, 0), report(t, control, 0); !reflect.DeepEqual(got, want) {
 		t.Fatalf("late ingest into evicted minute diverges from control")
+	}
+}
+
+// TestReloadRefusesShortLinkSection rewrites evicted minutes' segments
+// so their link sections list one node fewer, or one more, than their
+// records admit — checksum recomputed, so only the node count is wrong
+// — and checks that each reload fails instead of restoring a partial
+// graph, while an intact minute still reloads.
+func TestReloadRefusesShortLinkSection(t *testing.T) {
+	sys := openDurable(t, t.TempDir(), 1)
+	defer sys.Close()
+	st := sys.Store()
+	for m := int64(0); m < 4; m++ {
+		uploadMinute(t, m, 12, 40+m, sys)
+		if _, err := st.ApplyRetention(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tamper := map[int64]func([][]int) [][]int{
+		0: func(l [][]int) [][]int { return l[:len(l)-1] },
+		1: func(l [][]int) [][]int { return append(l, nil) },
+	}
+	for m, edit := range tamper {
+		profiles, links, err := st.readSegment(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(st.segmentPath(m), segmentImage(m, profiles, edit(links)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.InvestigateReport("t", durSite, m); err == nil || !strings.Contains(err.Error(), "link section lists") {
+			t.Fatalf("minute %d: reload of a miscounted link section: %v, want a node-count error", m, err)
+		}
+	}
+	if _, err := sys.InvestigateReport("t", durSite, 2); err != nil {
+		t.Fatalf("intact minute 2 after the refused reloads: %v", err)
+	}
+}
+
+// TestReopenIgnoresTornSpillTemp crashes a durable system that left a
+// torn minute-0.seg.tmp behind, as a crash mid-spill does, while minute
+// 0 lives only in the WAL. Recovery must not take the temp file for a
+// segment: the system reopens, every minute reports like an
+// always-resident control, and the next spill of minute 0 overwrites
+// the leftover.
+func TestReopenIgnoresTornSpillTemp(t *testing.T) {
+	dir := t.TempDir()
+	sys := openDurable(t, dir, 2)
+	control := controlSystem(t)
+	for m := int64(0); m < 3; m++ {
+		uploadMinute(t, m, 12, 70+m, sys, control)
+	}
+	segDir := filepath.Join(dir, "ingest.wal.segments")
+	if err := os.WriteFile(filepath.Join(segDir, "minute-0.seg.tmp"), []byte("VMAPSEG2 torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sys.Abort()
+
+	rec := openDurable(t, dir, 2)
+	defer rec.Close()
+	for m := int64(0); m < 3; m++ {
+		if got, want := report(t, rec, m), report(t, control, m); !reflect.DeepEqual(got, want) {
+			t.Fatalf("minute %d: recovered verdicts diverge from resident control", m)
+		}
+	}
+	if n, err := rec.Store().ApplyRetention(); err != nil || n != 1 {
+		t.Fatalf("ApplyRetention = (%d, %v), want minute 0 spilled", n, err)
+	}
+	if got, want := report(t, rec, 0), report(t, control, 0); !reflect.DeepEqual(got, want) {
+		t.Fatal("minute 0 reloaded over the leftover temp file diverges from resident control")
+	}
+}
+
+// TestRetentionRefusesDisabledViewmapCache checks that a system
+// without the viewmap cache refuses retention at start-up (its shards
+// build no graph whose links a segment could carry) and opens without
+// it.
+func TestRetentionRefusesDisabledViewmapCache(t *testing.T) {
+	cfg := Config{AuthorityToken: "t", Bank: durBank(t), Store: StoreConfig{DisableViewmapCache: true}}
+	for _, retention := range []int{2, 0} {
+		sys, err := OpenDurable(cfg, DurabilityConfig{
+			WALPath:          filepath.Join(t.TempDir(), "ingest.wal"),
+			RetentionMinutes: retention,
+		})
+		if retention > 0 {
+			if err == nil {
+				sys.Close()
+				t.Fatal("OpenDurable accepted retention without the viewmap cache")
+			}
+			if !strings.Contains(err.Error(), "viewmap cache") {
+				t.Fatalf("refusal %q does not name the viewmap cache", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("without retention: %v", err)
+		}
+		sys.Close()
 	}
 }
 

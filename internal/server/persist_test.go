@@ -3,10 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
+	"viewmap/internal/core"
 	"viewmap/internal/geo"
 	"viewmap/internal/vp"
 )
@@ -95,9 +98,10 @@ func wantSystemStream(t *testing.T, sys *System) []byte {
 // TestPersistFormatPin pins every store-carrying file to the documented
 // framing built from vp.Profile.Marshal: System.SaveTo, the durable
 // snapshot, and minute segments (written through the store's one
-// spill writer). Minute 0 spans several recordChunk writes, and the
-// second snapshot and segment are smaller than the first, so stale
-// bytes left in a reused buffer would show.
+// spill writer), whose link section is built from the batch linker's
+// graph and whose CRC-32C is computed here. Minute 0 spans several
+// recordChunk writes, and the second snapshot and segment are smaller
+// than the first, so stale bytes left in a reused buffer would show.
 func TestPersistFormatPin(t *testing.T) {
 	dir := t.TempDir()
 	sys := openDurable(t, dir, 0)
@@ -136,9 +140,13 @@ func TestPersistFormatPin(t *testing.T) {
 	st := sys.Store()
 	checkSegment := func(m int64) {
 		t.Helper()
-		profiles := st.Minute(m)
+		sh := st.shard(m)
+		sh.mu.Lock()
+		profiles := append([]*vp.Profile(nil), sh.profiles...)
+		links := sh.builder.LowerLinks()
+		sh.mu.Unlock()
 		st.spillMu.Lock()
-		err := st.writeSegment(m, profiles)
+		err := st.writeSegment(m, profiles, links)
 		st.spillMu.Unlock()
 		if err != nil {
 			t.Fatal(err)
@@ -147,12 +155,18 @@ func TestPersistFormatPin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := append([]byte("VMAPSEG1"), binary.BigEndian.AppendUint64(nil, uint64(m))...)
+		want := append([]byte("VMAPSEG2"), binary.BigEndian.AppendUint64(nil, uint64(m))...)
 		want = binary.BigEndian.AppendUint32(want, uint32(len(profiles)))
 		want = append(want, framedRecords(profiles)...)
+		want = append(want, wantLinkSection(t, profiles, m)...)
+		want = binary.BigEndian.AppendUint32(want, crc32.Checksum(want, crc32.MakeTable(crc32.Castagnoli)))
 		if !bytes.Equal(data, want) {
 			t.Fatalf("minute %d segment is %d bytes, the documented framing is %d", m, len(data), len(want))
 		}
+	}
+	// A quarantined record sits in the segment without a link list.
+	if err := sys.UploadVP(implausibleProfile(t, 0, 93).Marshal()); err != nil {
+		t.Fatal(err)
 	}
 	checkSegment(0)
 
@@ -164,6 +178,44 @@ func TestPersistFormatPin(t *testing.T) {
 	}
 	checkSnapshot("second")
 	checkSegment(1)
+}
+
+// wantLinkSection builds a segment's link section for a minute's
+// profiles from the batch linker: core.Build over a site whose coverage
+// takes in every plausible profile, each node listing its neighbours
+// with smaller ids.
+func wantLinkSection(t *testing.T, profiles []*vp.Profile, m int64) []byte {
+	t.Helper()
+	vm, err := core.Build(profiles, core.BuildConfig{
+		Site: durArea.Inflate(1e5), Minute: m, RequirePlausible: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plausible := 0
+	for _, p := range profiles {
+		if p.PlausibleTrajectory() {
+			plausible++
+		}
+	}
+	if vm.Len() != plausible {
+		t.Fatalf("minute %d: batch viewmap holds %d of %d plausible profiles", m, vm.Len(), plausible)
+	}
+	out := binary.BigEndian.AppendUint32(nil, uint32(vm.Len()))
+	for i, adj := range vm.Adj {
+		var lower []int
+		for _, j := range adj {
+			if j < i {
+				lower = append(lower, j)
+			}
+		}
+		sort.Ints(lower)
+		out = binary.BigEndian.AppendUint32(out, uint32(len(lower)))
+		for _, j := range lower {
+			out = binary.BigEndian.AppendUint32(out, uint32(j))
+		}
+	}
+	return out
 }
 
 func TestLoadFromRejectsGarbage(t *testing.T) {

@@ -1,10 +1,10 @@
 package server
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -23,22 +23,39 @@ import (
 // identifier index keeps a 16-byte marker per evicted VP so duplicate
 // rejection still holds across the whole history. An investigation or
 // evidence lookup against an evicted minute transparently reloads the
-// segment — re-linking the profiles in their original ingest order
-// reproduces the identical viewmap (the evict-then-reload equality
-// invariant, pinned by TestEvictReloadEquality) — and reloaded cold
-// minutes live in a small LRU-bounded resident set of their own.
+// segment. The segment carries the minute's viewlinks next to its
+// profiles, so a reload restores the graph the evicting shard held
+// instead of relinking every pair — the identical viewmap (the
+// evict-then-reload equality invariant, pinned by
+// TestEvictReloadEquality) — and reloaded cold minutes live in a small
+// LRU-bounded resident set of their own.
 //
 // Segment files are written with fsync before the in-memory shard is
 // dropped, so an evicted minute is always durable on its own: the
 // snapshot + WAL pair covers the resident window, the segment files
 // cover everything older.
+//
+// A segment file is (docs/persistence-format.md §Segments):
+//
+//	"VMAPSEG2" | u64 minute | u32 record count
+//	records    u32 wire length | u8 trusted | wire record, in ingest order
+//	links      u32 node count, then per linked node u32 n | n × u32 ids
+//	u32 CRC-32C (Castagnoli) over every byte before it
+//
+// The link section lists, for every node of the minute's graph in node
+// order, its neighbours with smaller ids (core.IncrementalBuilder's
+// LowerLinks). Nodes are the records the linker admitted, in record
+// order; quarantined records have none.
 
-// segMagic heads a minute-segment file.
-var segMagic = [8]byte{'V', 'M', 'A', 'P', 'S', 'E', 'G', '1'}
+// segMagic heads a minute-segment file; segMagicV1 heads the retired
+// link-less format, which reloads refuse by name.
+var (
+	segMagic   = [8]byte{'V', 'M', 'A', 'P', 'S', 'E', 'G', '2'}
+	segMagicV1 = [8]byte{'V', 'M', 'A', 'P', 'S', 'E', 'G', '1'}
+)
 
-// maxSegmentRecord bounds one profile record in a segment file; same
-// cap as the legacy store stream.
-const maxSegmentRecord = 1 << 20
+// segHeadLen is the fixed segment header: magic, minute, record count.
+const segHeadLen = 20
 
 // evictedRef marks an identifier whose profile lives in an on-disk
 // minute segment rather than in memory. It keeps duplicate rejection
@@ -46,9 +63,13 @@ const maxSegmentRecord = 1 << 20
 // and Get follows the marker through a segment reload.
 type evictedRef struct{ minute int64 }
 
+// segmentName is the file name of minute m's segment; recovery adopts
+// exactly the names it produces.
+func segmentName(m int64) string { return fmt.Sprintf("minute-%d.seg", m) }
+
 // segmentPath names minute m's segment file.
 func (s *Store) segmentPath(m int64) string {
-	return filepath.Join(s.cfg.SegmentDir, fmt.Sprintf("minute-%d.seg", m))
+	return filepath.Join(s.cfg.SegmentDir, segmentName(m))
 }
 
 // RetentionEnabled reports whether this store spills old minutes.
@@ -150,10 +171,14 @@ func (s *Store) evictShard(m int64) error {
 		dirty := sh.dirty
 		profiles := make([]*vp.Profile, version)
 		copy(profiles, sh.profiles)
+		var links [][]int
+		if dirty {
+			links = sh.builder.LowerLinks()
+		}
 		sh.mu.Unlock()
 
 		if dirty {
-			if err := s.writeSegment(m, profiles); err != nil {
+			if err := s.writeSegment(m, profiles, links); err != nil {
 				return err
 			}
 		}
@@ -198,12 +223,12 @@ func (s *Store) evictShard(m int64) error {
 	}
 }
 
-// writeSegment persists one minute's profiles, in ingest order, to the
-// minute's segment file: temp file, fsync, atomic rename, directory
-// sync — the file is durable before the in-memory shard may be
-// dropped. Callers hold spillMu, which owns the temp path and the
-// shared spill writer.
-func (s *Store) writeSegment(m int64, profiles []*vp.Profile) error {
+// writeSegment persists one minute's profiles, in ingest order, and
+// the lower-neighbour lists of its graph's nodes to the minute's
+// segment file: temp file, fsync, atomic rename, directory sync — the
+// file is durable before the in-memory shard may be dropped. Callers
+// hold spillMu, which owns the temp path and the shared spill writer.
+func (s *Store) writeSegment(m int64, profiles []*vp.Profile, links [][]int) error {
 	if s.cfg.SegmentDir == "" {
 		return errors.New("server: no segment directory configured")
 	}
@@ -213,11 +238,20 @@ func (s *Store) writeSegment(m int64, profiles []*vp.Profile) error {
 	if err != nil {
 		return err
 	}
-	var head [20]byte
+	var head [segHeadLen]byte
 	copy(head[:8], segMagic[:])
 	binary.BigEndian.PutUint64(head[8:16], uint64(m))
 	binary.BigEndian.PutUint32(head[16:], uint32(len(profiles)))
-	_, err = s.spill.write(f, head[:], profiles)
+	sum := crcWriter{w: f}
+	_, err = s.spill.write(&sum, head[:], profiles)
+	if err == nil {
+		// The link section and the checksum leave in one more write,
+		// built in the spill writer's buffer.
+		tail := appendLinkSection(s.spill.buf[:0], links)
+		tail = binary.BigEndian.AppendUint32(tail, crc32.Update(sum.crc, walCRC, tail))
+		_, err = f.Write(tail)
+		s.spill.buf = tail[:0]
+	}
 	if err == nil {
 		err = f.Sync()
 	}
@@ -236,61 +270,137 @@ func (s *Store) writeSegment(m int64, profiles []*vp.Profile) error {
 	return nil
 }
 
-// readSegment parses minute m's segment file. Lengths are validated
-// before allocation: segment files normally round-trip our own writes,
-// but recovery must not crash — or balloon — on a corrupt one.
-func (s *Store) readSegment(m int64) ([]*vp.Profile, error) {
-	f, err := os.Open(s.segmentPath(m))
+// appendLinkSection appends a segment's link section for the given
+// lower-neighbour lists to buf.
+func appendLinkSection(buf []byte, links [][]int) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(links)))
+	for _, l := range links {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(l)))
+		for _, id := range l {
+			buf = binary.BigEndian.AppendUint32(buf, uint32(id))
+		}
+	}
+	return buf
+}
+
+// crcWriter passes writes through to w, folding what was written into
+// a running CRC-32C.
+type crcWriter struct {
+	w   io.Writer
+	crc uint32
+}
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.crc = crc32.Update(c.crc, walCRC, p[:n])
+	return n, err
+}
+
+// readSegment reads minute m's segment file in one pass and decodes it
+// (decodeSegment): its profiles in ingest order and the lower-neighbour
+// list of every graph node.
+func (s *Store) readSegment(m int64) ([]*vp.Profile, [][]int, error) {
+	data, err := os.ReadFile(s.segmentPath(m))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("server: segment %d header: %w", m, err)
+	return decodeSegment(m, data)
+}
+
+// decodeSegment parses the segment image of minute m. The checksum is
+// verified before any field is trusted, and every allocation is bounded
+// by the bytes present rather than by the counts the file claims:
+// segment files normally round-trip our own writes, but recovery must
+// not crash — or balloon — on a corrupt one. The profiles are decoded
+// into one vp.BatchArena and the link ids into one slab.
+func decodeSegment(m int64, data []byte) ([]*vp.Profile, [][]int, error) {
+	if len(data) < len(segMagic) {
+		return nil, nil, fmt.Errorf("server: segment %d: truncated header", m)
 	}
-	if magic != segMagic {
-		return nil, fmt.Errorf("server: minute %d: not a segment file", m)
+	switch [8]byte(data[:8]) {
+	case segMagic:
+	case segMagicV1:
+		return nil, nil, fmt.Errorf("server: segment %d is in the retired VMAPSEG1 format, which carries no viewlinks; this server reads only VMAPSEG2", m)
+	default:
+		return nil, nil, fmt.Errorf("server: minute %d: not a segment file", m)
 	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("server: segment %d header: %w", m, err)
+	// Header, an empty link section and the checksum.
+	if len(data) < segHeadLen+4+4 {
+		return nil, nil, fmt.Errorf("server: segment %d: truncated", m)
 	}
-	if got := int64(binary.BigEndian.Uint64(hdr[:8])); got != m {
-		return nil, fmt.Errorf("server: segment file for minute %d claims minute %d", m, got)
+	body := data[:len(data)-4]
+	if crc32.Checksum(body, walCRC) != binary.BigEndian.Uint32(data[len(body):]) {
+		return nil, nil, fmt.Errorf("server: segment %d: checksum mismatch", m)
 	}
-	count := binary.BigEndian.Uint32(hdr[8:])
-	profiles := make([]*vp.Profile, 0, min(int(count), 1<<16))
+	if got := int64(binary.BigEndian.Uint64(body[8:16])); got != m {
+		return nil, nil, fmt.Errorf("server: segment file for minute %d claims minute %d", m, got)
+	}
+	count := binary.BigEndian.Uint32(body[16:segHeadLen])
+	rest := body[segHeadLen:]
+
+	// Size the arena by how many full-minute records the bytes could
+	// hold, not by the claimed count; records beyond it (only short
+	// profiles get there) fall back to the allocating decoder.
+	n := min(uint64(count), uint64(len(rest)/(5+vp.MaxWireLen)))
+	arena := vp.NewBatchArena(int(n))
+	profiles := make([]*vp.Profile, 0, n)
 	for i := uint32(0); i < count; i++ {
-		var rh [5]byte
-		if _, err := io.ReadFull(br, rh[:]); err != nil {
-			return nil, fmt.Errorf("server: segment %d record %d: %w", m, i, err)
+		if len(rest) < 5 {
+			return nil, nil, fmt.Errorf("server: segment %d record %d: truncated frame", m, i)
 		}
-		size := binary.BigEndian.Uint32(rh[:4])
-		if size > maxSegmentRecord {
-			return nil, fmt.Errorf("server: segment %d record %d claims %d bytes", m, i, size)
+		size := binary.BigEndian.Uint32(rest[:4])
+		if uint64(size) > uint64(len(rest)-5) {
+			return nil, nil, fmt.Errorf("server: segment %d record %d claims %d bytes, %d remain", m, i, size, len(rest)-5)
 		}
-		rec := make([]byte, size)
-		if _, err := io.ReadFull(br, rec); err != nil {
-			return nil, fmt.Errorf("server: segment %d record %d: %w", m, i, err)
-		}
-		p, err := vp.Unmarshal(rec)
+		p, err := arena.Unmarshal(rest[5 : 5+size])
 		if err != nil {
-			return nil, fmt.Errorf("server: segment %d record %d: %w", m, i, err)
+			return nil, nil, fmt.Errorf("server: segment %d record %d: %w", m, i, err)
 		}
-		p.Trusted = rh[4] == 1
+		p.Trusted = rest[4] == 1
 		profiles = append(profiles, p)
+		rest = rest[5+size:]
 	}
-	return profiles, nil
+
+	if len(rest) < 4 {
+		return nil, nil, fmt.Errorf("server: segment %d: truncated link section", m)
+	}
+	nodes := binary.BigEndian.Uint32(rest[:4])
+	rest = rest[4:]
+	// Every node costs at least its u32 list length.
+	if uint64(nodes) > uint64(len(rest)/4) {
+		return nil, nil, fmt.Errorf("server: segment %d claims %d linked nodes in %d bytes", m, nodes, len(rest))
+	}
+	links := make([][]int, nodes)
+	ids := make([]int, 0, len(rest)/4-int(nodes))
+	for i := range links {
+		if len(rest) < 4 {
+			return nil, nil, fmt.Errorf("server: segment %d node %d: truncated link list", m, i)
+		}
+		k := uint64(binary.BigEndian.Uint32(rest[:4]))
+		rest = rest[4:]
+		if k > uint64(len(rest)/4) {
+			return nil, nil, fmt.Errorf("server: segment %d node %d claims %d links, %d bytes remain", m, i, k, len(rest))
+		}
+		start := len(ids)
+		for j := uint64(0); j < k; j++ {
+			ids = append(ids, int(binary.BigEndian.Uint32(rest[4*j:])))
+		}
+		rest = rest[4*k:]
+		links[i] = ids[start:]
+	}
+	if len(rest) != 0 {
+		return nil, nil, fmt.Errorf("server: segment %d: %d trailing bytes after the link section", m, len(rest))
+	}
+	return profiles, links, nil
 }
 
 // reloadSegment brings an evicted minute back into memory: the segment
-// is read, the profiles re-linked in their original ingest order
-// (reproducing the identical minute graph), the identifier index
-// restored to live pointers, and the rebuilt shard installed as a cold
-// resident. Single-flight: concurrent cold queries for any evicted
-// minute serialize here, and the winner's shard is reused.
+// is read, the minute graph restored from its saved viewlinks with the
+// profiles in their original ingest order (reproducing the identical
+// graph without relinking), the identifier index restored to live
+// pointers, and the restored shard installed as a cold resident.
+// Single-flight: concurrent cold queries for any evicted minute
+// serialize here, and the winner's shard is reused.
 func (s *Store) reloadSegment(m int64) (*minuteShard, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -303,27 +413,20 @@ func (s *Store) reloadSegment(m int64) (*minuteShard, error) {
 	if !have {
 		return nil, fmt.Errorf("%w %d", ErrNoMinute, m)
 	}
-	profiles, err := s.readSegment(m)
+	profiles, links, err := s.readSegment(m)
 	if err != nil {
 		return nil, err
 	}
 	sh := s.newShard(m)
 	sh.cold = true
+	if err := sh.restore(profiles, links); err != nil {
+		return nil, fmt.Errorf("server: restoring segment %d: %w", m, err)
+	}
 	for _, p := range profiles {
-		if !s.cfg.DisableViewmapCache {
-			linked, err := sh.builder.Add(p)
-			if err != nil {
-				return nil, fmt.Errorf("server: relinking segment %d: %w", m, err)
-			}
-			if !linked {
-				sh.quarantined++
-			}
-		}
-		sh.profiles = append(sh.profiles, p)
 		s.ids.Store(p.ID(), p)
 	}
 	s.touch(sh)
-	// The relink above ran builder.Add directly — safe only because the
+	// The restore above ran the builder directly — safe only because the
 	// shard's ring is unreachable until the map install below makes the
 	// shard visible. The worker must exist before that instant.
 	s.startLinkWorker(sh)
@@ -346,6 +449,37 @@ func (s *Store) reloadSegment(m int64) (*minuteShard, error) {
 	return sh, nil
 }
 
+// restore fills a new, unpublished shard with a segment's profiles and
+// the graph its link lists describe. Each profile the linker admits
+// takes the next list; the ones it quarantines (implausible
+// trajectories) were quarantined when the segment was written and have
+// none. A link section that lists more or fewer nodes than the records
+// admit is an error.
+func (sh *minuteShard) restore(profiles []*vp.Profile, links [][]int) error {
+	node := 0
+	for _, p := range profiles {
+		var nbs []int
+		if node < len(links) {
+			nbs = links[node]
+		}
+		linked, err := sh.builder.StageLinked(p, nbs)
+		if err != nil {
+			return err
+		}
+		if linked {
+			node++
+		} else {
+			sh.quarantined++
+		}
+	}
+	if node != len(links) {
+		return fmt.Errorf("the link section lists %d nodes, the records admit %d", len(links), node)
+	}
+	sh.builder.CommitStaged()
+	sh.profiles = profiles
+	return nil
+}
+
 // adoptSegments registers every segment file on disk with the store:
 // evicted minutes become queryable again and their identifiers are
 // re-claimed in the index (so WAL replay rejects their records as
@@ -366,8 +500,10 @@ func (s *Store) adoptSegments() (minutes int, err error) {
 		return 0, err
 	}
 	for _, e := range entries {
+		// Adopt exact segment names only: Sscanf ignores trailing input,
+		// so a crashed spill's minute-M.seg.tmp would pass for minute M.
 		var m int64
-		if n, err := fmt.Sscanf(e.Name(), "minute-%d.seg", &m); n != 1 || err != nil {
+		if _, err := fmt.Sscanf(e.Name(), "minute-%d.seg", &m); err != nil || e.Name() != segmentName(m) {
 			continue
 		}
 		resident := s.shard(m) != nil
@@ -378,7 +514,7 @@ func (s *Store) adoptSegments() (minutes int, err error) {
 			minutes++
 			continue
 		}
-		profiles, err := s.readSegment(m)
+		profiles, _, err := s.readSegment(m)
 		if err != nil {
 			return minutes, err
 		}

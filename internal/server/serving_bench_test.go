@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"testing"
 
 	"viewmap/internal/core"
@@ -86,5 +87,46 @@ func BenchmarkVerifySiteCachedViewmap(b *testing.B) {
 		if _, err := vm.VerifySite(vm.InSite(site), core.TrustRankConfig{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSegmentReload times the cold-minute path: reloading an
+// evicted minute of n VPs from its segment file (read, decode, restore
+// the saved graph, install). Each iteration drops the clean shard again
+// untimed; the segment is written once.
+func BenchmarkSegmentReload(b *testing.B) {
+	for _, n := range []int{300, 1000} {
+		b.Run(fmt.Sprintf("vps=%d", n), func(b *testing.B) {
+			area := geo.NewRect(geo.Pt(0, 0), geo.Pt(2000, 2000))
+			profiles, err := core.SynthesizeLegitimate(core.SynthConfig{N: n, Area: area, Seed: 17})
+			if err != nil {
+				b.Fatal(err)
+			}
+			core.MarkTrustedNearest(profiles, area.Center())
+			s := NewStoreWith(StoreConfig{SegmentDir: b.TempDir(), RetentionMinutes: 1})
+			defer s.Close()
+			for _, p := range profiles {
+				if err := s.Put(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			edges := s.shard(0).builder.NumEdges()
+			if err := s.evictShard(0); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.reloadSegment(0); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := s.evictShard(0); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(edges)/float64(n), "links/VP")
+		})
 	}
 }

@@ -46,8 +46,9 @@ type Store struct {
 	segments map[int64]bool
 
 	// reloadMu single-flights segment reloads: cold queries are rare
-	// and a reload re-links a whole minute, so concurrent reloads of
-	// any evicted minutes serialize rather than duplicating that work.
+	// and a reload reads and restores a whole minute, so concurrent
+	// reloads of any evicted minutes serialize rather than duplicating
+	// that work.
 	reloadMu sync.Mutex
 
 	// spillMu serializes segment spills (evictShard holds it from the
@@ -113,7 +114,9 @@ type StoreConfig struct {
 	// entirely: ingest skips link-on-ingest, and every ViewmapFor
 	// call rebuilds the viewmap from scratch with core.Build. This is
 	// the rebuild-per-request baseline the serving benchmark compares
-	// against; production configurations leave it false.
+	// against; production configurations leave it false. It cannot be
+	// combined with retention (NewSystem refuses the pair): segments
+	// carry each minute's viewlinks, and this mode builds none.
 	DisableViewmapCache bool
 	// SegmentDir is where evicted minutes are spilled as per-minute
 	// segment files (retention.go). Empty disables spilling, and with

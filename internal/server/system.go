@@ -197,6 +197,11 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 	}
 	store := NewStoreWith(cfg.Store)
+	if cfg.Store.DisableViewmapCache && store.RetentionEnabled() {
+		// Segments persist each minute's viewlinks, and a store without
+		// the viewmap cache builds no graph to take them from.
+		return nil, errors.New("server: retention needs the viewmap cache; DisableViewmapCache cannot be combined with it")
+	}
 	ev, err := evidence.NewService(cfg.Evidence, store, bank)
 	if err != nil {
 		return nil, err

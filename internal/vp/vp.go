@@ -635,6 +635,11 @@ func (p *Profile) Marshal() []byte {
 	return p.AppendMarshal(make([]byte, 0, p.WireLen()))
 }
 
+// MaxWireLen is the wire length of a full-minute profile, the longest
+// record Unmarshal accepts. Decoders size buffers by how many such
+// records the bytes in hand could hold.
+const MaxWireLen = 6 + vd.SegmentSeconds*vd.WireSize + FilterBits/8
+
 // WireLen returns the byte length of the profile's wire record (what
 // Marshal returns) without marshalling it. The length is fixed by the
 // digest count and the filter size, so a writer can frame a stream of
