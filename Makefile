@@ -142,9 +142,9 @@ coverage:
 		|| { echo "coverage regressed below the recorded baseline"; exit 1; }
 
 # Native fuzzing over the untrusted decoders: the anonymous VP wire
-# format, the batched-upload framing, the state-restore sniffing, the
-# WAL replay path (framing scanner + every record-body decoder), and
-# the minute-segment reader with the graph restore behind it.
+# format, the batched-upload framing, the snapshot decoder, the WAL
+# replay path (framing scanner + every record-body decoder), and the
+# minute-segment reader with the graph restore behind it.
 # Each target gets FUZZTIME of coverage-guided input generation on top
 # of the checked-in seed corpus; -fuzzminimizetime keeps minimization
 # of interesting inputs from eating the budget on small machines.

@@ -1,7 +1,8 @@
 // Command viewmap-client drives one simulated ViewMap-enabled dashcam
 // against a running viewmap-server: it records synthetic minutes while
 // driving a synthetic city, uploads actual and guard VPs anonymously,
-// answers video solicitations, and collects rewards.
+// answers the evidence board's video solicitations, and collects and
+// spends the payout.
 //
 // Usage:
 //
@@ -96,35 +97,6 @@ func run(serverURL, name string, minutes int, trustedToken string, seed int64) e
 	fmt.Printf("uploaded %d minutes of VPs; storage holds %d segments\n",
 		minutes, vehicle.StoredSegments())
 
-	// Answer any posted solicitations.
-	ids, err := api.Solicitations()
-	if err != nil {
-		return err
-	}
-	matched := vehicle.MatchSolicitations(ids)
-	for id, chunks := range matched {
-		if err := api.SubmitVideo(id, chunks); err != nil {
-			fmt.Fprintf(os.Stderr, "video for %x rejected: %v\n", id[:4], err)
-			continue
-		}
-		fmt.Printf("uploaded solicited video for VP %x…\n", id[:4])
-	}
-
-	// Collect any posted rewards.
-	offers, err := api.Rewards()
-	if err != nil {
-		return err
-	}
-	for _, id := range offers {
-		q, ok := vehicle.Secret(id)
-		if !ok {
-			continue
-		}
-		if err := collect(api, id, q); err != nil {
-			fmt.Fprintf(os.Stderr, "collecting reward for %x: %v\n", id[:4], err)
-		}
-	}
-
 	// Answer the evidence board: deliver solicited videos, collect the
 	// payout, and spend one unit to prove the cash works.
 	board, err := api.EvidenceBoard()
@@ -165,22 +137,5 @@ func run(serverURL, name string, minutes int, trustedToken string, seed int64) e
 		}
 		fmt.Printf("collected %d payout units for VP %x… and redeemed one\n", len(cash), id[:4])
 	}
-	return nil
-}
-
-func collect(api *client.API, id vd.VPID, q vd.Secret) error {
-	units, err := api.ClaimReward(id, q)
-	if err != nil {
-		return err
-	}
-	pub, err := api.BankKey()
-	if err != nil {
-		return err
-	}
-	cash, err := api.WithdrawCash(id, q, units, pub)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("collected %d units of untraceable cash for VP %x…\n", len(cash), id[:4])
 	return nil
 }

@@ -1,21 +1,21 @@
 // Command viewmap-server runs the ViewMap system service: the VP
-// database, investigation/verification engine, video solicitation and
-// validation, and the blind-signature reward bank, exposed over the
-// HTTP API of internal/server.
+// database, investigation/verification engine, and the evidence desk
+// (video solicitation, validation and blind-signature payment),
+// exposed over the HTTP API of internal/server.
 //
 // Usage:
 //
 //	viewmap-server [-addr :8440] [-authority-token TOKEN] [-bank-bits 2048]
-//	               [-db PATH] [-state PATH] [-dsrc-range 400] [-no-viewmap-cache]
-//	               [-wal PATH] [-wal-sync 0s] [-snapshot-interval 60s]
+//	               [-dsrc-range 400] [-wal PATH] [-wal-sync 0s] [-snapshot-interval 60s]
 //	               [-retention N] [-resident-minutes N] [-max-upload-lag N]
 //	               [-no-metrics] [-slow-request 1s] [-pprof localhost:6060]
 //
 // If no authority token is supplied a random one is generated and
 // printed at startup; authorities pass it in the X-Viewmap-Authority
-// header for trusted uploads, investigations and reviews.
+// header for trusted uploads, investigations and evidence release.
 //
-// -wal selects durable continuous operation: every admitted mutation
+// Without -wal the server is ephemeral: everything lives in memory and
+// is lost on exit. -wal selects durable continuous operation: every admitted mutation
 // is appended (and fsynced) to the write-ahead log at PATH before it
 // is acknowledged, a background snapshotter checkpoints the full
 // system state to PATH.snap every -snapshot-interval and truncates the
@@ -25,20 +25,15 @@
 // the server recovers from whatever those files hold; a crash loses
 // nothing that was acknowledged. -wal-sync widens the group-commit
 // window (more ingest throughput, higher ack latency — never less
-// durability). See docs/operations.md for the full operator guide.
+// durability). -wal-sync, -snapshot-interval, -retention and
+// -resident-minutes need -wal; setting one without it is refused at
+// start-up. See docs/operations.md for the full operator guide.
 //
 // -max-upload-lag N arms wall-clock admission: an anonymous upload
 // whose claimed minute trails the server clock by more than N minutes
 // is refused (422 on the single path, counted rejected on the batch
 // path) before it costs a WAL append. Trusted uploads are exempt —
 // the authority backfills history.
-//
-// -state persists the full system — VP database, reward bank (signing
-// keypair and double-spend ledger), and evidence board — on SIGINT/
-// SIGTERM only (no crash safety); -db persists the VP database alone
-// (the legacy format, which -state also accepts when loading). The
-// three persistence modes are mutually exclusive; use -wal for
-// anything long-running.
 //
 // Observability: GET /v1/metrics serves every latency histogram in
 // Prometheus text format and the latency/pipeline blocks of
@@ -49,21 +44,18 @@
 //
 // The store shards by unit-time window and links every uploaded VP
 // into its minute's viewmap at ingest, so investigations are answered
-// from cached, already-linked viewmaps. -no-viewmap-cache disables
-// that path and rebuilds the viewmap on every investigation — the
-// baseline the serving benchmark (viewmap-bench -run serving)
-// compares against; leave it off in production.
+// from cached, already-linked viewmaps.
 package main
 
 import (
-	"errors"
 	"flag"
-	"io/fs"
+	"fmt"
 	"log"
 	"net/http"
 	_ "net/http/pprof" // registers the /debug/pprof handlers on DefaultServeMux for -pprof
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -74,15 +66,12 @@ func main() {
 	addr := flag.String("addr", ":8440", "listen address")
 	token := flag.String("authority-token", "", "authority token (random if empty)")
 	bankBits := flag.Int("bank-bits", 2048, "RSA key size for the reward bank")
-	dbPath := flag.String("db", "", "VP database file: loaded at startup, saved on SIGINT/SIGTERM")
-	statePath := flag.String("state", "", "full system state file (store + bank + evidence board): loaded at startup, saved on SIGINT/SIGTERM")
 	dsrcRange := flag.Float64("dsrc-range", 0, "viewlink proximity radius in metres (0 = the 400 m default)")
-	noCache := flag.Bool("no-viewmap-cache", false, "rebuild viewmaps per investigation instead of serving cached incremental ones (benchmark baseline)")
 	walPath := flag.String("wal", "", "ingest write-ahead log: enables durable continuous operation (snapshot at PATH.snap, segments under PATH.segments/)")
-	walSync := flag.Duration("wal-sync", 0, "WAL group-commit window (0 = fsync as soon as a record is buffered)")
+	walSync := flag.Duration("wal-sync", 0, "WAL group-commit window (requires -wal; 0 = fsync as soon as a record is buffered)")
 	snapshotInterval := flag.Duration("snapshot-interval", time.Minute, "background snapshot + WAL truncation period (requires -wal; 0 = final snapshot only)")
 	retention := flag.Int("retention", 0, "resident minute horizon: spill shards older than the newest N minutes to disk (requires -wal; 0 = keep all resident)")
-	residentMinutes := flag.Int("resident-minutes", 0, "LRU bound on reloaded cold minutes (0 = default of 2)")
+	residentMinutes := flag.Int("resident-minutes", 0, "LRU bound on reloaded cold minutes (requires -wal; 0 = default of 2)")
 	ingestSlots := flag.Int("ingest-slots", 0, "concurrent upload admissions (0 = default of 64)")
 	ingestQueue := flag.Int("ingest-queue", 0, "bounded upload wait queue beyond the slots (0 = default of 256)")
 	investigateSlots := flag.Int("investigate-slots", 0, "concurrent authority-request admissions, isolated from uploads (0 = default of 16)")
@@ -102,10 +91,7 @@ func main() {
 		DisableMetrics:      *noMetrics,
 		SlowRequest:         *slowRequest,
 		MaxUploadLagMinutes: *maxUploadLag,
-		Store: server.StoreConfig{
-			DSRCRange:           *dsrcRange,
-			DisableViewmapCache: *noCache,
-		},
+		Store:               server.StoreConfig{DSRCRange: *dsrcRange},
 		Overload: server.OverloadConfig{
 			IngestSlots:      *ingestSlots,
 			IngestQueue:      *ingestQueue,
@@ -116,17 +102,8 @@ func main() {
 			RetryAfter:       *retryAfter,
 		},
 	}
-	modes := 0
-	for _, set := range []bool{*dbPath != "", *statePath != "", *walPath != ""} {
-		if set {
-			modes++
-		}
-	}
-	if modes > 1 {
-		log.Fatal("use exactly one of -db, -state, or -wal")
-	}
-	if *walPath == "" && *retention > 0 {
-		log.Fatal("-retention requires -wal (evicted minutes live next to the log)")
+	if err := checkWALFlags(flag.CommandLine, *walPath); err != nil {
+		log.Fatal(err)
 	}
 
 	var sys *server.System
@@ -149,28 +126,6 @@ func main() {
 	} else if sys, err = server.NewSystem(cfg); err != nil {
 		log.Fatalf("starting system: %v", err)
 	}
-	if *statePath != "" {
-		if shouldLoad(*statePath) {
-			n, err := sys.LoadStateFile(*statePath)
-			if err != nil {
-				log.Fatalf("loading system state: %v", err)
-			}
-			log.Printf("loaded system state (%d VPs) from %s", n, *statePath)
-		}
-		saveOnSignal(func() error { return sys.SaveStateFile(*statePath) },
-			func() { log.Printf("saved system state to %s", *statePath) })
-	}
-	if *dbPath != "" {
-		if shouldLoad(*dbPath) {
-			n, err := sys.Store().LoadFile(*dbPath)
-			if err != nil {
-				log.Fatalf("loading VP database: %v", err)
-			}
-			log.Printf("loaded %d VPs from %s", n, *dbPath)
-		}
-		saveOnSignal(func() error { return sys.Store().SaveFile(*dbPath) },
-			func() { log.Printf("saved %d VPs to %s", sys.Store().Len(), *dbPath) })
-	}
 	log.Printf("ViewMap system service listening on %s", *addr)
 	log.Printf("authority token: %s", sys.AuthorityToken())
 	if *pprofAddr != "" {
@@ -190,21 +145,23 @@ func main() {
 	log.Fatal(srv.ListenAndServe())
 }
 
-// shouldLoad reports whether a persistence file exists and must be
-// loaded. Only a clean not-exist is a fresh start; any other stat
-// error (permissions, I/O) is fatal — silently skipping the load
-// would start a fresh bank keypair and then overwrite the real state
-// on shutdown.
-func shouldLoad(path string) bool {
-	_, err := os.Stat(path)
-	if err == nil {
-		return true
+// walFlags take effect only in durable mode; without -wal the server is
+// ephemeral and would silently ignore them.
+var walFlags = []string{"wal-sync", "snapshot-interval", "retention", "resident-minutes"}
+
+// checkWALFlags refuses any of walFlags set explicitly on the command
+// line (even to its default) when walPath is empty.
+func checkWALFlags(fs *flag.FlagSet, walPath string) error {
+	if walPath != "" {
+		return nil
 	}
-	if errors.Is(err, fs.ErrNotExist) {
-		return false
-	}
-	log.Fatalf("checking %s: %v", path, err)
-	return false
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(walFlags, f.Name) {
+			err = fmt.Errorf("-%s requires -wal: without it the server keeps nothing on disk", f.Name)
+		}
+	})
+	return err
 }
 
 // saveOnSignal installs a SIGINT/SIGTERM handler that runs the save

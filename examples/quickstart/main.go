@@ -5,9 +5,9 @@
 // convoy, exchanging view digests over the simulated DSRC channel.
 // Their view profiles are uploaded to an embedded system service; the
 // authority investigates the minute, the system verifies the viewmap
-// with TrustRank and solicits the videos of the verified VPs; a
-// civilian uploads the matching video, which validates against the
-// cascaded hashes in its VP.
+// with TrustRank and lists the verified VPs on the evidence board; the
+// civilians deliver the matching videos, which validate against the
+// cascaded hashes in their VPs.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -109,32 +109,42 @@ func run() error {
 			}
 		}
 	}
-	vps, trusted, _, err := api.Stats()
+	st, err := api.StatsFull()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("VP database: %d profiles (%d trusted)\n", vps, trusted)
+	fmt.Printf("VP database: %d profiles (%d trusted)\n", st.VPs, st.Trusted)
 
 	// --- Investigation ----------------------------------------------
-	solicited, err := api.Investigate("demo-authority", 0, -50, 900, 50, 0)
+	sol, err := api.OpenSolicitation("demo-authority", 0, -50, 900, 50, 0, 2)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("investigation posted %d video solicitations (IDs only — site/time stay private)\n", solicited)
+	fmt.Printf("investigation verified %d VPs; the evidence board lists %d at %d units each (IDs only — site/time stay private)\n",
+		len(sol.Legitimate), sol.Listed, sol.Units)
 
-	// --- Vehicles answer solicitations -------------------------------
-	ids, err := api.Solicitations()
+	// --- Vehicles answer the evidence board --------------------------
+	board, err := api.EvidenceBoard()
 	if err != nil {
 		return err
+	}
+	ids := make([]vd.VPID, len(board))
+	for i, o := range board {
+		ids[i] = o.ID
 	}
 	for i, v := range vehicles[:2] {
 		for id, chunks := range v.MatchSolicitations(ids) {
-			if err := api.SubmitVideo(id, chunks); err != nil {
+			q, _ := v.Secret(id)
+			units, err := api.DeliverEvidence(id, q, chunks)
+			if err != nil {
 				return fmt.Errorf("%s video rejected: %w", names[i], err)
 			}
-			fmt.Printf("%s: uploaded video for VP %x… (validated against cascaded hashes)\n", names[i], id[:4])
+			fmt.Printf("%s: delivered video for VP %x… (validated against cascaded hashes; %d units entitled)\n", names[i], id[:4], units)
 		}
 	}
-	fmt.Printf("review queue holds %d validated videos; quickstart complete\n", sys.ReviewQueueLen())
+	if st, err = api.StatsFull(); err != nil {
+		return err
+	}
+	fmt.Printf("evidence desk accepted %d validated videos; quickstart complete\n", st.Evidence.DeliveriesAccepted)
 	return nil
 }

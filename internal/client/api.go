@@ -282,7 +282,7 @@ func (a *API) UploadTrustedVP(token string, p *vp.Profile) error {
 }
 
 // Investigate asks the system to build and verify a viewmap (authority
-// only) and returns the number of newly posted solicitations.
+// only) and returns the number of VPs TrustRank marked legitimate.
 func (a *API) Investigate(token string, minX, minY, maxX, maxY float64, minute int64) (int, error) {
 	reqBody, err := json.Marshal(map[string]interface{}{
 		"site":   map[string]float64{"minX": minX, "minY": minY, "maxX": maxX, "maxY": maxY},
@@ -300,12 +300,12 @@ func (a *API) Investigate(token string, minX, minY, maxX, maxY float64, minute i
 	}
 	defer resp.Body.Close()
 	var out struct {
-		NewlySolicited int `json:"newlySolicited"`
+		Legitimate []string `json:"legitimate"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return 0, err
 	}
-	return out.NewlySolicited, nil
+	return len(out.Legitimate), nil
 }
 
 // VPVerdict is one viewmap member's verdict from the wire report.
@@ -337,8 +337,7 @@ type InvestigationOutcome struct {
 
 // InvestigateReport verifies (site, minute) and returns the per-VP
 // verdicts — the scoring surface the online attack campaigns are
-// graded through. Read-only; no solicitations are posted. Authority
-// only.
+// graded through. Authority only.
 func (a *API) InvestigateReport(token string, minX, minY, maxX, maxY float64, minute int64) (*InvestigationOutcome, error) {
 	reqBody, err := json.Marshal(map[string]interface{}{
 		"site":   map[string]float64{"minX": minX, "minY": minY, "maxX": maxX, "maxY": maxY},
@@ -477,64 +476,6 @@ func (a *API) WatchInvestigation(token string, minX, minY, maxX, maxY float64, m
 	return sc.Err()
 }
 
-// fetchIDs reads an {ids:[hex]} response.
-func (a *API) fetchIDs(path string) ([]vd.VPID, error) {
-	resp, err := a.do("GET", path, "", nil, "")
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
-	defer resp.Body.Close()
-	var out struct {
-		IDs []string `json:"ids"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	ids := make([]vd.VPID, 0, len(out.IDs))
-	for _, s := range out.IDs {
-		b, err := hex.DecodeString(s)
-		if err != nil || len(b) != len(vd.VPID{}) {
-			return nil, fmt.Errorf("client: bad id %q in response", s)
-		}
-		var id vd.VPID
-		copy(id[:], b)
-		ids = append(ids, id)
-	}
-	return ids, nil
-}
-
-// Solicitations fetches the current 'request for video' list.
-func (a *API) Solicitations() ([]vd.VPID, error) { return a.fetchIDs("/v1/solicitations") }
-
-// Rewards fetches the current 'request for reward' list.
-func (a *API) Rewards() ([]vd.VPID, error) { return a.fetchIDs("/v1/rewards") }
-
-// SubmitVideo uploads a solicited video's chunks.
-func (a *API) SubmitVideo(id vd.VPID, chunks [][]byte) error {
-	enc := make([]string, len(chunks))
-	for i, c := range chunks {
-		enc[i] = base64.StdEncoding.EncodeToString(c)
-	}
-	reqBody, err := json.Marshal(map[string]interface{}{
-		"id": hex.EncodeToString(id[:]), "chunks": enc,
-	})
-	if err != nil {
-		return err
-	}
-	resp, err := a.do("POST", "/v1/video", "application/json", reqBody, "")
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return apiError(resp)
-	}
-	resp.Body.Close()
-	return nil
-}
-
 // BankKey fetches the system's blind-signature public key.
 func (a *API) BankKey() (*rsa.PublicKey, error) {
 	resp, err := a.do("GET", "/v1/bank", "", nil, "")
@@ -559,37 +500,10 @@ func (a *API) BankKey() (*rsa.PublicKey, error) {
 	return &rsa.PublicKey{N: n, E: out.E}, nil
 }
 
-// ClaimReward proves ownership and returns the granted unit count.
-func (a *API) ClaimReward(id vd.VPID, q vd.Secret) (int, error) {
-	reqBody, err := json.Marshal(map[string]string{
-		"id": hex.EncodeToString(id[:]), "secret": hex.EncodeToString(q[:]),
-	})
-	if err != nil {
-		return 0, err
-	}
-	resp, err := a.do("POST", "/v1/reward/claim", "application/json", reqBody, "")
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, apiError(resp)
-	}
-	defer resp.Body.Close()
-	var out struct {
-		Units int `json:"units"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, err
-	}
-	return out.Units, nil
-}
-
 // withdrawBlindSigned runs the client side of one blind-signature
-// withdrawal against the given signing endpoint: blind fresh notes,
-// obtain signatures, unblind into spendable cash. Shared by the
-// legacy reward flow and the evidence payout flow, which differ only
-// in the endpoint.
-func (a *API) withdrawBlindSigned(path string, id vd.VPID, q vd.Secret, n int, pub *rsa.PublicKey) ([]*reward.Cash, error) {
+// withdrawal at POST /v1/evidence/payout: blind fresh notes, obtain
+// signatures, unblind into spendable cash.
+func (a *API) withdrawBlindSigned(id vd.VPID, q vd.Secret, n int, pub *rsa.PublicKey) ([]*reward.Cash, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("client: unit count must be positive, got %d", n)
 	}
@@ -611,7 +525,7 @@ func (a *API) withdrawBlindSigned(path string, id vd.VPID, q vd.Secret, n int, p
 	if err != nil {
 		return nil, err
 	}
-	resp, err := a.do("POST", path, "application/json", reqBody, "")
+	resp, err := a.do("POST", "/v1/evidence/payout", "application/json", reqBody, "")
 	if err != nil {
 		return nil, err
 	}
@@ -643,15 +557,15 @@ func (a *API) withdrawBlindSigned(path string, id vd.VPID, q vd.Secret, n int, p
 	return cash, nil
 }
 
-// redeemAt spends one unit of cash at the given redemption endpoint.
-func (a *API) redeemAt(path string, c *reward.Cash) error {
+// redeemAt spends one unit of cash at POST /v1/evidence/redeem.
+func (a *API) redeemAt(c *reward.Cash) error {
 	reqBody, err := json.Marshal(map[string]string{
 		"m": base64.StdEncoding.EncodeToString(c.M), "sig": c.Sig.String(),
 	})
 	if err != nil {
 		return err
 	}
-	resp, err := a.do("POST", path, "application/json", reqBody, "")
+	resp, err := a.do("POST", "/v1/evidence/redeem", "application/json", reqBody, "")
 	if err != nil {
 		return err
 	}
@@ -660,37 +574,4 @@ func (a *API) redeemAt(path string, c *reward.Cash) error {
 	}
 	resp.Body.Close()
 	return nil
-}
-
-// WithdrawCash runs the full blind-signature withdrawal for n units:
-// blind fresh notes, have the system sign them against the reward
-// offer, unblind, and return spendable cash.
-func (a *API) WithdrawCash(id vd.VPID, q vd.Secret, n int, pub *rsa.PublicKey) ([]*reward.Cash, error) {
-	return a.withdrawBlindSigned("/v1/reward/blind", id, q, n, pub)
-}
-
-// Redeem spends one unit of cash at the system.
-func (a *API) Redeem(c *reward.Cash) error {
-	return a.redeemAt("/v1/reward/redeem", c)
-}
-
-// Stats fetches the service's database counters.
-func (a *API) Stats() (vps, trusted, reviewQueue int, err error) {
-	resp, err := a.do("GET", "/v1/stats", "", nil, "")
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, 0, apiError(resp)
-	}
-	defer resp.Body.Close()
-	var out struct {
-		VPs         int `json:"vps"`
-		Trusted     int `json:"trusted"`
-		ReviewQueue int `json:"reviewQueue"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, 0, 0, err
-	}
-	return out.VPs, out.Trusted, out.ReviewQueue, nil
 }

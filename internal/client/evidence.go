@@ -139,12 +139,12 @@ func (a *API) DeliverEvidence(id vd.VPID, q vd.Secret, chunks [][]byte) (int, er
 // against an accepted delivery's entitlement: blind fresh notes, have
 // the evidence desk sign them, unblind into spendable cash.
 func (a *API) WithdrawPayout(id vd.VPID, q vd.Secret, n int, pub *rsa.PublicKey) ([]*reward.Cash, error) {
-	return a.withdrawBlindSigned("/v1/evidence/payout", id, q, n, pub)
+	return a.withdrawBlindSigned(id, q, n, pub)
 }
 
 // RedeemPayout spends one unit at the evidence redemption desk.
 func (a *API) RedeemPayout(c *reward.Cash) error {
-	return a.redeemAt("/v1/evidence/redeem", c)
+	return a.redeemAt(c)
 }
 
 // ReleasedVideo is the investigator-facing copy of a delivery.
@@ -307,8 +307,6 @@ type ServiceStats struct {
 	VPs int `json:"vps"`
 	// Trusted counts stored trusted profiles.
 	Trusted int `json:"trusted"`
-	// ReviewQueue is the legacy review queue's depth.
-	ReviewQueue int `json:"reviewQueue"`
 	// Minutes counts unit-time windows with stored profiles.
 	Minutes int `json:"minutes"`
 	// Ingest carries the admission-gate counters.
@@ -377,8 +375,8 @@ type PipelineStats struct {
 	WALCommitBatch WALBatchStats `json:"walCommitBatch"`
 }
 
-// StatsFull fetches every service counter, including the evidence
-// lifecycle counters. Stats remains for the legacy triple.
+// StatsFull fetches every service counter (GET /v1/stats), including
+// the evidence lifecycle counters.
 func (a *API) StatsFull() (*ServiceStats, error) {
 	resp, err := a.do("GET", "/v1/stats", "", nil, "")
 	if err != nil {

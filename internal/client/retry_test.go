@@ -14,8 +14,8 @@ import (
 )
 
 // shedServer answers 429 (with the given Retry-After header when
-// non-empty) for the first sheds requests, then 200 with an empty ids
-// list. It records each attempt's X-Session header.
+// non-empty) for the first sheds requests, then 200 with an empty
+// evidence board. It records each attempt's X-Session header.
 type shedServer struct {
 	mu         sync.Mutex
 	sheds      int
@@ -35,7 +35,7 @@ func (s *shedServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`{"error":"overloaded"}`))
 		return
 	}
-	w.Write([]byte(`{"ids":[]}`))
+	w.Write([]byte(`{"offers":[]}`))
 }
 
 // retryHarness builds an API against the shed server with a recording
@@ -62,12 +62,12 @@ func retryHarness(t *testing.T, sheds int, retryAfter string, retries int) (*API
 // succeeds.
 func TestRetryHonorsRetryAfter(t *testing.T) {
 	api, shed, waits := retryHarness(t, 2, "2", 4)
-	ids, err := api.Solicitations()
+	offers, err := api.EvidenceBoard()
 	if err != nil {
-		t.Fatalf("Solicitations after retries: %v", err)
+		t.Fatalf("EvidenceBoard after retries: %v", err)
 	}
-	if len(ids) != 0 {
-		t.Fatalf("ids = %v", ids)
+	if len(offers) != 0 {
+		t.Fatalf("offers = %v", offers)
 	}
 	if len(shed.sessions) != 3 {
 		t.Fatalf("server saw %d attempts, want 3", len(shed.sessions))
@@ -99,7 +99,7 @@ func TestRetryHonorsRetryAfter(t *testing.T) {
 // base, each with at most 50% jitter.
 func TestRetryExponentialBackoffWithoutHint(t *testing.T) {
 	api, _, waits := retryHarness(t, 3, "", 4)
-	if _, err := api.Solicitations(); err != nil {
+	if _, err := api.EvidenceBoard(); err != nil {
 		t.Fatal(err)
 	}
 	if len(*waits) != 3 {
@@ -120,7 +120,7 @@ func TestRetryExponentialBackoffWithoutHint(t *testing.T) {
 // attempt counted.
 func TestRetryBudgetExhausted(t *testing.T) {
 	api, shed, waits := retryHarness(t, 1<<30, "1", 2)
-	if _, err := api.Solicitations(); err == nil {
+	if _, err := api.EvidenceBoard(); err == nil {
 		t.Fatal("persistent 429 should surface as an error")
 	}
 	if len(shed.sessions) != 3 {

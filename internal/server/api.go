@@ -10,6 +10,7 @@ import (
 	"math/big"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"time"
 
@@ -45,38 +46,69 @@ const (
 	watchPollInterval   = 200 * time.Millisecond
 )
 
-// Handler returns the system's HTTP API.
+// route is one endpoint of the HTTP surface.
+type route struct {
+	method, path string
+	// class is the admission gate the endpoint is shed through
+	// (overload.go).
+	class endpointClass
+}
+
+// routes is the HTTP surface, the one list every per-endpoint concern
+// reads: Handler serves exactly these patterns, the admission layer
+// classifies requests by them (any other path is ungated and 404s), and
+// each path gets its own latency histogram (telemetry.go). The comment
+// on each entry is its wire shape; docs/http-api.md has the details.
+var routes = []route{
+	{"POST", "/v1/vp", classIngest},                      // binary VP upload (anonymous)
+	{"POST", "/v1/vp/batch", classIngest},                // batched binary VP upload (anonymous)
+	{"POST", "/v1/vp/trusted", classIngest},              // binary VP upload (authority)
+	{"POST", "/v1/investigate", classInvestigate},        // {"site":{...},"minute":N} (authority)
+	{"POST", "/v1/investigate/period", classInvestigate}, // {"site","firstMinute","lastMinute"} (authority)
+	{"POST", "/v1/investigate/report", classInvestigate}, // {"site","minute"} -> per-VP verdicts (authority)
+	// A watch stream holds its investigate slot for its whole (bounded)
+	// lifetime, so long watches trade against interactive investigation
+	// capacity; see the watch timeout clamp below.
+	{"GET", "/v1/investigate/watch", classInvestigate},   // streamed NDJSON reports on epoch advance (authority)
+	{"POST", "/v1/evidence/solicit", classInvestigate},   // {"site","minute","units"} (authority)
+	{"GET", "/v1/evidence/solicitations", classEvidence}, // {"offers":[{"id","units"},...]}
+	{"POST", "/v1/evidence/deliver", classEvidence},      // {"id","secret","chunks"} (X-Session, single use)
+	{"POST", "/v1/evidence/payout", classEvidence},       // {"id","secret","blinded"} (X-Session, single use)
+	{"POST", "/v1/evidence/redeem", classEvidence},       // {"m":"b64","sig":"dec"}
+	{"GET", "/v1/evidence/video", classInvestigate},      // ?id=hex -> blurred release (authority)
+	{"GET", "/v1/bank", classNone},                       // {"n":"dec","e":N} blind-signature public key
+	{"GET", "/v1/stats", classNone},                      // {"vps":N,...} (docs/http-api.md)
+	{"GET", "/v1/metrics", classNone},                    // Prometheus text exposition (docs/observability.md)
+}
+
+// routeClass maps each routed path to its admission class.
+var routeClass = func() map[string]endpointClass {
+	m := make(map[string]endpointClass, len(routes))
+	for _, rt := range routes {
+		m[rt.path] = rt.class
+	}
+	return m
+}()
+
+// Handler returns the system's HTTP API: the endpoints of routes.
 //
-//	POST /v1/vp                      binary VP upload (anonymous)
-//	POST /v1/vp/batch                batched binary VP upload (anonymous)
-//	POST /v1/vp/trusted              binary VP upload (authority)
-//	POST /v1/investigate             {"site":{...},"minute":N} (authority)
-//	POST /v1/investigate/report      {"site":{...},"minute":N} -> per-VP verdicts (authority)
-//	GET  /v1/investigate/watch       streamed NDJSON reports on epoch advance (authority)
-//	GET  /v1/solicitations           {"ids":["hex",...]}
-//	POST /v1/video                   {"id":"hex","chunks":["b64",...]}
-//	GET  /v1/rewards                 {"ids":["hex",...]}
-//	POST /v1/reward/claim            {"id":"hex","secret":"hex"} -> {"units":N}
-//	POST /v1/reward/blind            {"id","secret","blinded":["dec",...]}
-//	POST /v1/reward/redeem           {"m":"b64","sig":"dec"}
-//	POST /v1/evidence/solicit        {"site","minute","units"} (authority)
-//	GET  /v1/evidence/solicitations  {"offers":[{"id","units"},...]}
-//	POST /v1/evidence/deliver        {"id","secret","chunks"} (X-Session, single use)
-//	POST /v1/evidence/payout         {"id","secret","blinded"} (X-Session, single use)
-//	POST /v1/evidence/redeem         {"m":"b64","sig":"dec"}
-//	GET  /v1/evidence/video?id=hex   blurred release (authority)
-//	GET  /v1/stats                   {"vps":N,...,"ingest":{...},"shards":[...],"retention":{...},"durability":{...},"evidence":{...},"overload":{...},"latency":[...],"pipeline":{...}}
-//	GET  /v1/metrics                 Prometheus text exposition (docs/observability.md)
-//
-// Every endpoint except GET /v1/stats, GET /v1/metrics, and
-// GET /v1/bank sits behind a per-class admission gate (overload.go):
-// when a class's slots and wait queue are both full the request is
-// shed with 429 Too Many Requests and a Retry-After header instead of
-// queueing unboundedly. The whole surface is wrapped in withTelemetry
-// (telemetry.go), which times every request and traces the slow ones.
+// Every endpoint of a gated class sits behind a per-class admission
+// gate (overload.go): when a class's slots and wait queue are both
+// full the request is shed with 429 Too Many Requests and a
+// Retry-After header instead of queueing unboundedly. The whole
+// surface is wrapped in withTelemetry (telemetry.go), which times every
+// request and traces the slow ones.
 func Handler(sys *System) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/vp", func(w http.ResponseWriter, r *http.Request) {
+	handle := func(pattern string, h http.HandlerFunc) {
+		// A handler outside the route table would be ungated and
+		// untimed; refuse it at start-up rather than serve it.
+		if !slices.ContainsFunc(routes, func(rt route) bool { return rt.method+" "+rt.path == pattern }) {
+			panic("server: " + pattern + " is not in the route table")
+		}
+		mux.HandleFunc(pattern, h)
+	}
+	handle("POST /v1/vp", func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(io.LimitReader(r.Body, maxUploadBytes))
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
@@ -92,7 +124,7 @@ func Handler(sys *System) http.Handler {
 		}
 		w.WriteHeader(http.StatusCreated)
 	})
-	mux.HandleFunc("POST /v1/vp/batch", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST /v1/vp/batch", func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(io.LimitReader(r.Body, maxUploadBytes))
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
@@ -107,7 +139,7 @@ func Handler(sys *System) http.Handler {
 			Stored: res.Stored, Duplicates: res.Duplicates, Rejected: res.Rejected,
 		})
 	})
-	mux.HandleFunc("POST /v1/vp/trusted", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST /v1/vp/trusted", func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(io.LimitReader(r.Body, maxUploadBytes))
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
@@ -119,7 +151,7 @@ func Handler(sys *System) http.Handler {
 		}
 		w.WriteHeader(http.StatusCreated)
 	})
-	mux.HandleFunc("POST /v1/investigate", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST /v1/investigate", func(w http.ResponseWriter, r *http.Request) {
 		var req investigateRequest
 		if err := decodeJSON(r, &req); err != nil {
 			httpError(w, http.StatusBadRequest, err)
@@ -134,10 +166,10 @@ func Handler(sys *System) http.Handler {
 		}
 		writeJSON(w, investigateResponse{
 			Members: report.Members, Edges: report.Edges, InSite: report.InSite,
-			Legitimate: encodeIDs(report.Legitimate), NewlySolicited: report.NewlySolicited,
+			Legitimate: encodeIDs(report.Legitimate),
 		})
 	})
-	mux.HandleFunc("POST /v1/investigate/period", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST /v1/investigate/period", func(w http.ResponseWriter, r *http.Request) {
 		var req investigatePeriodRequest
 		if err := decodeJSON(r, &req); err != nil {
 			httpError(w, http.StatusBadRequest, err)
@@ -158,12 +190,12 @@ func Handler(sys *System) http.Handler {
 			}
 			out.Minutes = append(out.Minutes, &investigateResponse{
 				Members: rep.Members, Edges: rep.Edges, InSite: rep.InSite,
-				Legitimate: encodeIDs(rep.Legitimate), NewlySolicited: rep.NewlySolicited,
+				Legitimate: encodeIDs(rep.Legitimate),
 			})
 		}
 		writeJSON(w, out)
 	})
-	mux.HandleFunc("POST /v1/investigate/report", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST /v1/investigate/report", func(w http.ResponseWriter, r *http.Request) {
 		var req investigateRequest
 		if err := decodeJSON(r, &req); err != nil {
 			httpError(w, http.StatusBadRequest, err)
@@ -200,7 +232,7 @@ func Handler(sys *System) http.Handler {
 	// first report are plain HTTP errors; after it, a final
 	// {"error":...} line. The stream ends cleanly (200, possibly zero
 	// lines) on timeout or client disconnect.
-	mux.HandleFunc("GET /v1/investigate/watch", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET /v1/investigate/watch", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		site, err := rectFromQuery(q)
 		if err != nil {
@@ -309,109 +341,7 @@ func Handler(sys *System) http.Handler {
 			}
 		}
 	})
-	mux.HandleFunc("GET /v1/solicitations", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, idsResponse{IDs: encodeIDs(sys.Solicitations())})
-	})
-	mux.HandleFunc("POST /v1/video", func(w http.ResponseWriter, r *http.Request) {
-		var req videoRequest
-		if err := decodeJSON(r, &req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		id, err := decodeID(req.ID)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		chunks := make([][]byte, len(req.Chunks))
-		for i, c := range req.Chunks {
-			chunks[i], err = base64.StdEncoding.DecodeString(c)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("chunk %d: %w", i, err))
-				return
-			}
-		}
-		if err := sys.SubmitVideo(id, chunks); err != nil {
-			httpError(w, statusFor(err), err)
-			return
-		}
-		w.WriteHeader(http.StatusAccepted)
-	})
-	mux.HandleFunc("GET /v1/rewards", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, idsResponse{IDs: encodeIDs(sys.PostedRewards())})
-	})
-	mux.HandleFunc("POST /v1/reward/claim", func(w http.ResponseWriter, r *http.Request) {
-		var req claimRequest
-		if err := decodeJSON(r, &req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		id, q, err := decodeOwnership(req.ID, req.Secret)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		units, err := sys.ClaimReward(id, q)
-		if err != nil {
-			httpError(w, statusFor(err), err)
-			return
-		}
-		writeJSON(w, claimResponse{Units: units})
-	})
-	mux.HandleFunc("POST /v1/reward/blind", func(w http.ResponseWriter, r *http.Request) {
-		var req blindRequest
-		if err := decodeJSON(r, &req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		id, q, err := decodeOwnership(req.ID, req.Secret)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		blinded := make([]*big.Int, len(req.Blinded))
-		for i, s := range req.Blinded {
-			v, ok := new(big.Int).SetString(s, 10)
-			if !ok {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("blinded %d not a decimal integer", i))
-				return
-			}
-			blinded[i] = v
-		}
-		sigs, err := sys.SignBlindedForReward(id, q, blinded)
-		if err != nil {
-			httpError(w, statusFor(err), err)
-			return
-		}
-		out := make([]string, len(sigs))
-		for i, s := range sigs {
-			out[i] = s.String()
-		}
-		writeJSON(w, blindResponse{Signatures: out})
-	})
-	mux.HandleFunc("POST /v1/reward/redeem", func(w http.ResponseWriter, r *http.Request) {
-		var req redeemRequest
-		if err := decodeJSON(r, &req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		m, err := base64.StdEncoding.DecodeString(req.M)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		sig, ok := new(big.Int).SetString(req.Sig, 10)
-		if !ok {
-			httpError(w, http.StatusBadRequest, errors.New("sig not a decimal integer"))
-			return
-		}
-		if err := sys.Redeem(&reward.Cash{M: m, Sig: sig}); err != nil {
-			httpError(w, statusFor(err), err)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	})
-	mux.HandleFunc("GET /v1/bank", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET /v1/bank", func(w http.ResponseWriter, r *http.Request) {
 		pub := sys.Bank().PublicKey()
 		writeJSON(w, bankResponse{N: pub.N.String(), E: pub.E})
 	})
@@ -419,7 +349,7 @@ func Handler(sys *System) http.Handler {
 	// Evidence subsystem: the end-to-end lifecycle of Sections
 	// 5.1–5.3 (solicit → anonymous deliver → cascade verify → payout
 	// → blurred release).
-	mux.HandleFunc("POST /v1/evidence/solicit", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST /v1/evidence/solicit", func(w http.ResponseWriter, r *http.Request) {
 		var req solicitRequest
 		if err := decodeJSON(r, &req); err != nil {
 			httpError(w, http.StatusBadRequest, err)
@@ -438,7 +368,7 @@ func Handler(sys *System) http.Handler {
 			Listed:     rep.Listed, NewlyListed: rep.NewlyListed, Units: rep.Units,
 		})
 	})
-	mux.HandleFunc("GET /v1/evidence/solicitations", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET /v1/evidence/solicitations", func(w http.ResponseWriter, r *http.Request) {
 		board := sys.Evidence().Board()
 		out := offersResponse{Offers: make([]offerJSON, len(board))}
 		for i, o := range board {
@@ -446,7 +376,7 @@ func Handler(sys *System) http.Handler {
 		}
 		writeJSON(w, out)
 	})
-	mux.HandleFunc("POST /v1/evidence/deliver", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST /v1/evidence/deliver", func(w http.ResponseWriter, r *http.Request) {
 		var req deliverRequest
 		if err := decodeJSON(r, &req); err != nil {
 			httpError(w, http.StatusBadRequest, err)
@@ -472,7 +402,7 @@ func Handler(sys *System) http.Handler {
 		}
 		writeJSON(w, deliverResponse{Units: units})
 	})
-	mux.HandleFunc("POST /v1/evidence/payout", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST /v1/evidence/payout", func(w http.ResponseWriter, r *http.Request) {
 		var req blindRequest
 		if err := decodeJSON(r, &req); err != nil {
 			httpError(w, http.StatusBadRequest, err)
@@ -503,7 +433,7 @@ func Handler(sys *System) http.Handler {
 		}
 		writeJSON(w, blindResponse{Signatures: out})
 	})
-	mux.HandleFunc("POST /v1/evidence/redeem", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST /v1/evidence/redeem", func(w http.ResponseWriter, r *http.Request) {
 		var req redeemRequest
 		if err := decodeJSON(r, &req); err != nil {
 			httpError(w, http.StatusBadRequest, err)
@@ -525,7 +455,7 @@ func Handler(sys *System) http.Handler {
 		}
 		w.WriteHeader(http.StatusOK)
 	})
-	mux.HandleFunc("GET /v1/evidence/video", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET /v1/evidence/video", func(w http.ResponseWriter, r *http.Request) {
 		id, err := decodeID(r.URL.Query().Get("id"))
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
@@ -547,11 +477,11 @@ func Handler(sys *System) http.Handler {
 		writeJSON(w, out)
 	})
 
-	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		sys.metrics.WritePrometheus(w)
 	})
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		ev := sys.Evidence().StatsSnapshot()
 		shardStats := sys.Store().ShardStats()
 		ingest := sys.Store().IngestStatsFrom(shardStats)
@@ -594,10 +524,9 @@ func Handler(sys *System) http.Handler {
 			}
 		}
 		writeJSON(w, statsResponse{
-			VPs:         sys.Store().Len(),
-			Trusted:     sys.Store().TrustedCount(),
-			ReviewQueue: sys.ReviewQueueLen(),
-			Minutes:     sys.Store().MinuteCount(),
+			VPs:     sys.Store().Len(),
+			Trusted: sys.Store().TrustedCount(),
+			Minutes: sys.Store().MinuteCount(),
 			Ingest: ingestStatsJSON{
 				Rejected:     ingest.Rejected,
 				WireRejected: ingest.WireRejected,
@@ -663,11 +592,10 @@ type investigateRequest struct {
 }
 
 type investigateResponse struct {
-	Members        int      `json:"members"`
-	Edges          int      `json:"edges"`
-	InSite         int      `json:"inSite"`
-	Legitimate     []string `json:"legitimate"`
-	NewlySolicited int      `json:"newlySolicited"`
+	Members    int      `json:"members"`
+	Edges      int      `json:"edges"`
+	InSite     int      `json:"inSite"`
+	Legitimate []string `json:"legitimate"`
 }
 
 type investigatePeriodRequest struct {
@@ -700,24 +628,6 @@ type batchResponse struct {
 	Rejected   int `json:"rejected"`
 }
 
-type idsResponse struct {
-	IDs []string `json:"ids"`
-}
-
-type videoRequest struct {
-	ID     string   `json:"id"`
-	Chunks []string `json:"chunks"`
-}
-
-type claimRequest struct {
-	ID     string `json:"id"`
-	Secret string `json:"secret"`
-}
-
-type claimResponse struct {
-	Units int `json:"units"`
-}
-
 type blindRequest struct {
 	ID      string   `json:"id"`
 	Secret  string   `json:"secret"`
@@ -739,19 +649,18 @@ type bankResponse struct {
 }
 
 type statsResponse struct {
-	VPs         int                          `json:"vps"`
-	Trusted     int                          `json:"trusted"`
-	ReviewQueue int                          `json:"reviewQueue"`
-	Minutes     int                          `json:"minutes"`
-	Ingest      ingestStatsJSON              `json:"ingest"`
-	Shards      []shardStatJSON              `json:"shards"`
-	Retention   retentionStatsJSON           `json:"retention"`
-	Durability  durabilityStatsJSON          `json:"durability"`
-	Evidence    evidenceStatsJSON            `json:"evidence"`
-	Overload    overloadStatsJSON            `json:"overload"`
-	Latency     []endpointLatencyJSON        `json:"latency"`
-	Pipeline    pipelineStatsJSON            `json:"pipeline"`
-	TrustRank   map[string]trustRankModeJSON `json:"trustrank"`
+	VPs        int                          `json:"vps"`
+	Trusted    int                          `json:"trusted"`
+	Minutes    int                          `json:"minutes"`
+	Ingest     ingestStatsJSON              `json:"ingest"`
+	Shards     []shardStatJSON              `json:"shards"`
+	Retention  retentionStatsJSON           `json:"retention"`
+	Durability durabilityStatsJSON          `json:"durability"`
+	Evidence   evidenceStatsJSON            `json:"evidence"`
+	Overload   overloadStatsJSON            `json:"overload"`
+	Latency    []endpointLatencyJSON        `json:"latency"`
+	Pipeline   pipelineStatsJSON            `json:"pipeline"`
+	TrustRank  map[string]trustRankModeJSON `json:"trustrank"`
 }
 
 // trustRankModeJSON summarizes one verification mode ("warm"/"cold")
@@ -963,9 +872,7 @@ func httpError(w http.ResponseWriter, status int, err error) {
 // statusFor maps service errors onto HTTP statuses.
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, ErrNotSolicited), errors.Is(err, evidence.ErrNotSolicited):
-		return http.StatusForbidden
-	case errors.Is(err, ErrBadOwnership), errors.Is(err, evidence.ErrBadOwnership):
+	case errors.Is(err, evidence.ErrNotSolicited), errors.Is(err, evidence.ErrBadOwnership):
 		return http.StatusForbidden
 	case errors.Is(err, anon.ErrSessionReused):
 		return http.StatusConflict

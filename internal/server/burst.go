@@ -168,18 +168,12 @@ func (r *ingestRing) closeRing() []*burst {
 // before the shard is installed in the shard map (so the ring cannot
 // receive bursts earlier).
 func (s *Store) startLinkWorker(sh *minuteShard) {
-	if sh.ring == nil {
-		return
-	}
 	go s.linkWorker(sh)
 }
 
 // stopLinkWorker signals sh's worker and waits for it to drain and
-// exit. Idempotent; a no-op for shards without a worker.
+// exit. Idempotent.
 func (sh *minuteShard) stopLinkWorker() {
-	if sh.ring == nil {
-		return
-	}
 	sh.stopOnce.Do(func() { close(sh.stopWorker) })
 	<-sh.workerDone
 }
@@ -343,9 +337,7 @@ func (s *Store) processBursts(sh *minuteShard, bursts []*burst) bool {
 // submitBurst hands one minute-group of claimed, validated profiles to
 // the minute's link worker and waits for the commit (ack-after-link).
 // It re-resolves the shard when an eviction races the submission, and
-// fails with errStoreClosed once the store is shut down. With the
-// viewmap cache disabled there is no linking and no worker; the
-// profiles append directly under the shard lock.
+// fails with errStoreClosed once the store is shut down.
 func (s *Store) submitBurst(m int64, profiles []*vp.Profile, countRejects bool, tr *obs.Trace) (*burst, error) {
 	for {
 		if s.closed.Load() {
@@ -354,28 +346,6 @@ func (s *Store) submitBurst(m int64, profiles []*vp.Profile, countRejects bool, 
 		sh, err := s.ensureShard(m)
 		if err != nil {
 			return nil, err
-		}
-		if sh.ring == nil {
-			b := &burst{profiles: profiles}
-			sh.mu.Lock()
-			if sh.evicted {
-				sh.mu.Unlock()
-				continue
-			}
-			sh.profiles = append(sh.profiles, profiles...)
-			sh.dirty = true
-			close(sh.changed)
-			sh.changed = make(chan struct{})
-			sh.mu.Unlock()
-			for _, p := range profiles {
-				b.stored++
-				s.count.Add(1)
-				if p.Trusted {
-					s.trustedCount.Add(1)
-				}
-			}
-			s.noteMinute(m)
-			return b, nil
 		}
 		b := &burst{profiles: profiles, countRejects: countRejects, done: make(chan struct{}), tr: tr}
 		if s.metrics.Enabled() || tr != nil {

@@ -580,6 +580,8 @@ func (sys *System) applyWALRecord(typ byte, body []byte) error {
 			return err
 		}
 		// Double spends and foreign-key signatures replay to a no-op.
+		// Desk-0 burns (older logs) must reach the shared ledger too, or
+		// a unit spent at the removed desk could be spent again.
 		if desk == redeemDeskEvidence {
 			sys.evidence.Redeem(cash)
 		} else {
@@ -591,9 +593,11 @@ func (sys *System) applyWALRecord(typ byte, body []byte) error {
 	return nil
 }
 
-// Redeem desks for walRecRedeem records.
+// Redeem desks for walRecRedeem records. New records name the
+// evidence desk; desk 0 is the removed legacy reward desk, whose
+// records replay into the bank's ledger.
 const (
-	redeemDeskBank     byte = 0
+	redeemDeskRemoved  byte = 0
 	redeemDeskEvidence byte = 1
 )
 

@@ -7,6 +7,7 @@ package server
 // minute must answer investigations exactly like a resident one.
 
 import (
+	"bytes"
 	"crypto/rand"
 	"crypto/rsa"
 	"errors"
@@ -294,6 +295,98 @@ func TestDurableRecoverBetweenAppendAndCommit(t *testing.T) {
 	}
 }
 
+// TestStateFileOpensAsSnapshot pins the migration for a full-state
+// file (System.SaveTo, the format the removed signal-save mode wrote):
+// prefixed with the snapshot header and LSN 0 and saved as PATH.snap,
+// it opens under OpenDurable with no WAL file and serves the same
+// reports, bank key and evidence board as the system that wrote it.
+func TestStateFileOpensAsSnapshot(t *testing.T) {
+	src := controlSystem(t)
+	uploadMinute(t, 0, 60, 21, src)
+	uploadMinute(t, 1, 30, 22, src)
+	if sol, err := src.OpenSolicitation("t", durSite, 0, 2); err != nil || sol.Listed == 0 {
+		t.Fatalf("OpenSolicitation = (%+v, %v), want a listed board", sol, err)
+	}
+	var state bytes.Buffer
+	if err := src.SaveTo(&state); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	snap := append([]byte("VMAPCKP1"), make([]byte, 8)...) // LSN 0
+	snap = append(snap, state.Bytes()...)
+	if err := os.WriteFile(filepath.Join(dir, "ingest.wal.snap"), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sys := openDurable(t, dir, 0)
+	defer sys.Close()
+	if got, want := sys.Store().Len(), src.Store().Len(); got != want {
+		t.Fatalf("migrated store holds %d VPs, want %d", got, want)
+	}
+	for m := int64(0); m < 2; m++ {
+		if got, want := report(t, sys, m), report(t, src, m); !reflect.DeepEqual(got, want) {
+			t.Fatalf("minute %d: migrated reports diverge from the source system", m)
+		}
+	}
+	if sys.Bank().PublicKey().N.Cmp(src.Bank().PublicKey().N) != 0 {
+		t.Fatal("migrated bank key differs")
+	}
+	if got, want := sys.Evidence().Board(), src.Evidence().Board(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("migrated board lists %d offers, want %d", len(got), len(want))
+	}
+}
+
+// TestReplayRemovedDeskRedeem pins the pre-upgrade log format: a WAL
+// may still hold walRecRedeem records of the removed legacy reward
+// desk (desk byte 0). Replay must burn those units in the shared bank
+// ledger — across the replay and across a later snapshot — or a unit
+// spent there could be spent again at the evidence desk.
+func TestReplayRemovedDeskRedeem(t *testing.T) {
+	dir := t.TempDir()
+	sys := openDurable(t, dir, 0)
+	pub := sys.Bank().PublicKey()
+	mint := func() *reward.Cash {
+		t.Helper()
+		note, err := reward.NewNote(pub, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig, err := sys.Bank().SignBlinded(note.Blind(pub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cash, err := note.Unblind(pub, sig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cash
+	}
+	spent, fresh := mint(), mint()
+	if _, err := sys.wal.Append(walRecRedeem, encodeRedeem(redeemDeskRemoved, spent), nil); err != nil {
+		t.Fatal(err)
+	}
+	sys.Abort()
+
+	rec := openDurable(t, dir, 0)
+	if err := rec.Evidence().Redeem(spent); !errors.Is(err, reward.ErrDoubleSpend) {
+		t.Fatalf("redeeming a unit burned at the removed desk = %v, want ErrDoubleSpend", err)
+	}
+	if err := rec.Evidence().Redeem(fresh); err != nil {
+		t.Fatalf("an unspent unit must still redeem: %v", err)
+	}
+	// The burn reaches the snapshot's bank section too.
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again := openDurable(t, dir, 0)
+	defer again.Close()
+	for _, c := range []*reward.Cash{spent, fresh} {
+		if err := again.Evidence().Redeem(c); !errors.Is(err, reward.ErrDoubleSpend) {
+			t.Fatalf("after the snapshot, redeeming a spent unit = %v, want ErrDoubleSpend", err)
+		}
+	}
+}
+
 // TestDurableRecoverTornFinalRecord crashes mid-append: the log ends
 // in a half-written record. Recovery keeps every acknowledged record,
 // drops the torn tail, and the log continues accepting appends.
@@ -529,34 +622,6 @@ func TestReopenIgnoresTornSpillTemp(t *testing.T) {
 	}
 	if got, want := report(t, rec, 0), report(t, control, 0); !reflect.DeepEqual(got, want) {
 		t.Fatal("minute 0 reloaded over the leftover temp file diverges from resident control")
-	}
-}
-
-// TestRetentionRefusesDisabledViewmapCache checks that a system
-// without the viewmap cache refuses retention at start-up (its shards
-// build no graph whose links a segment could carry) and opens without
-// it.
-func TestRetentionRefusesDisabledViewmapCache(t *testing.T) {
-	cfg := Config{AuthorityToken: "t", Bank: durBank(t), Store: StoreConfig{DisableViewmapCache: true}}
-	for _, retention := range []int{2, 0} {
-		sys, err := OpenDurable(cfg, DurabilityConfig{
-			WALPath:          filepath.Join(t.TempDir(), "ingest.wal"),
-			RetentionMinutes: retention,
-		})
-		if retention > 0 {
-			if err == nil {
-				sys.Close()
-				t.Fatal("OpenDurable accepted retention without the viewmap cache")
-			}
-			if !strings.Contains(err.Error(), "viewmap cache") {
-				t.Fatalf("refusal %q does not name the viewmap cache", err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("without retention: %v", err)
-		}
-		sys.Close()
 	}
 }
 

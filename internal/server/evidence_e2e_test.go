@@ -173,6 +173,19 @@ func TestEvidenceEndToEnd(t *testing.T) {
 		t.Fatal("owner lost its secret")
 	}
 
+	// A thief without the secret, and a video nobody solicited, are
+	// refused with 403 before the cascade runs.
+	if err := deliverExpectError(api, ownID, vd.Secret{}, chunks, "403"); err != nil {
+		t.Fatal(err)
+	}
+	strangerQ, err := vd.NewSecret()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := deliverExpectError(api, vd.DeriveVPID(strangerQ), strangerQ, chunks, "403"); err != nil {
+		t.Fatal(err)
+	}
+
 	// Tampered bytes bounce off the cascade with 422; the board entry
 	// stays open.
 	tampered := make([][]byte, len(chunks))

@@ -1,13 +1,12 @@
 package server_test
 
-// Native fuzz target for the state-restore decoder: System.LoadFrom
-// accepts both the full-system snapshot format and the legacy bare
-// VMAPDB01 store stream, sniffing the magic — a classic confusable
-// surface. Operators restore state files they did not necessarily
-// write, so the decoder must never panic and must refuse hostile
-// length prefixes without allocating what they claim. The hostile-
-// prefix regressions are pinned as unit tests below so they run in
-// every plain `go test`, not only under -fuzz.
+// Native fuzz target for the snapshot decoder: System.LoadFrom reads
+// the full-system VMAPSYS1 stream every snapshot carries. Operators
+// restore snapshots they did not necessarily write, so the decoder
+// must never panic and must refuse hostile length prefixes without
+// allocating what they claim. The hostile-prefix regressions are
+// pinned as unit tests below so they run in every plain `go test`,
+// not only under -fuzz.
 
 import (
 	"bytes"
@@ -20,9 +19,9 @@ import (
 	"viewmap/internal/server"
 )
 
-// savedStateSeeds builds one full-system snapshot and one legacy bare
-// store stream over a small real population.
-func savedStateSeeds(tb testing.TB) (system, legacy []byte) {
+// savedState builds one full-system stream over a small real
+// population.
+func savedState(tb testing.TB) []byte {
 	tb.Helper()
 	sys, err := server.NewSystem(server.Config{AuthorityToken: "seed", Bank: sharedBank(tb)})
 	if err != nil {
@@ -48,30 +47,27 @@ func savedStateSeeds(tb testing.TB) (system, legacy []byte) {
 			tb.Fatal(err)
 		}
 	}
-	var sysBuf, storeBuf bytes.Buffer
-	if err := sys.SaveTo(&sysBuf); err != nil {
+	var buf bytes.Buffer
+	if err := sys.SaveTo(&buf); err != nil {
 		tb.Fatal(err)
 	}
-	if err := sys.Store().SaveTo(&storeBuf); err != nil {
-		tb.Fatal(err)
-	}
-	return sysBuf.Bytes(), storeBuf.Bytes()
+	return buf.Bytes()
 }
 
-// FuzzSystemLoadFrom hammers the restore path with both formats plus
+// FuzzSystemLoadFrom hammers the restore path with a real stream plus
 // corruptions. Every iteration restores into a fresh system; errors
 // are fine, panics and prefix-sized allocations are not.
 func FuzzSystemLoadFrom(f *testing.F) {
-	system, legacy := savedStateSeeds(f)
+	system := savedState(f)
 	f.Add(system)
-	f.Add(legacy)
 	f.Add(system[:8])
-	f.Add(legacy[:12])
+	f.Add(system[:28]) // through the store section's record count
 	f.Add([]byte("VMAPSYS1"))
-	f.Add([]byte("VMAPDB01garbage"))
+	f.Add(system[:len(system)-10]) // evidence section cut short
 	hostile := append([]byte(nil), system[:8]...)
 	hostile = binary.BigEndian.AppendUint64(hostile, 1<<40) // section claims 1 TB
 	f.Add(hostile)
+	f.Add(hostileRecordState())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sys, err := server.NewSystem(server.Config{AuthorityToken: "fuzz", Bank: sharedBank(t)})
 		if err != nil {
@@ -116,16 +112,27 @@ func TestLoadFromHostileSectionLength(t *testing.T) {
 	}
 }
 
-// TestLoadFromHostileRecordLength does the same for the legacy store
-// stream: a record claiming more than the 1 MB cap is refused by the
-// length check before any allocation.
+// hostileRecordState is a VMAPSYS1 stream whose store section holds
+// one record claiming 1 GB.
+func hostileRecordState() []byte {
+	store := []byte("VMAPDB01")
+	store = binary.BigEndian.AppendUint32(store, 1) // one record
+	store = binary.BigEndian.AppendUint32(store, 1<<30)
+	store = append(store, 0) // trusted flag
+	data := []byte("VMAPSYS1")
+	data = binary.BigEndian.AppendUint64(data, uint64(len(store)))
+	return append(data, store...)
+}
+
+// TestLoadFromHostileRecordLength does the same for one record inside
+// the store section: a record claiming more than the 1 MB cap is
+// refused by the length check before any allocation.
 func TestLoadFromHostileRecordLength(t *testing.T) {
-	data := []byte("VMAPDB01")
-	data = binary.BigEndian.AppendUint32(data, 1) // one record
-	data = binary.BigEndian.AppendUint32(data, 1<<30)
-	data = append(data, 0) // trusted flag
-	store := server.NewStore()
-	if _, err := store.LoadFrom(bytes.NewReader(data)); err == nil {
-		t.Fatal("record claiming 1 GB must not load")
+	sys, err := server.NewSystem(server.Config{AuthorityToken: "t", Bank: sharedBank(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.LoadFrom(bytes.NewReader(hostileRecordState())); err == nil || !strings.Contains(err.Error(), "record 0 claims") {
+		t.Fatalf("record claiming 1 GB: got %v, want the record-length refusal", err)
 	}
 }

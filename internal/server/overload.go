@@ -4,7 +4,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -36,38 +35,19 @@ const (
 	// it reports.
 	classNone endpointClass = iota
 	// classIngest covers the upload paths: anonymous and trusted VP
-	// uploads, batched uploads, and legacy video submissions.
+	// uploads and batched uploads.
 	classIngest
 	// classInvestigate covers the authority paths: investigations,
 	// verdict reports, evidence solicitation, and evidence release.
 	classInvestigate
-	// classEvidence covers the vehicle-facing evidence and reward
-	// flow: board polls, deliveries, payouts, redemptions.
+	// classEvidence covers the vehicle-facing evidence flow: board
+	// polls, deliveries, payouts, redemptions.
 	classEvidence
 )
 
-// classifyEndpoint maps a request path onto its admission class.
-func classifyEndpoint(path string) endpointClass {
-	switch path {
-	case "/v1/vp", "/v1/vp/batch", "/v1/vp/trusted", "/v1/video":
-		return classIngest
-	case "/v1/investigate", "/v1/investigate/period", "/v1/investigate/report",
-		"/v1/investigate/watch",
-		"/v1/evidence/solicit", "/v1/evidence/video":
-		// A watch stream holds its investigate slot for its whole
-		// (bounded) lifetime, so long watches trade against interactive
-		// investigation capacity; see the watch timeout clamp in api.go.
-		return classInvestigate
-	case "/v1/stats", "/v1/bank", "/v1/metrics":
-		return classNone
-	}
-	if strings.HasPrefix(path, "/v1/evidence/") ||
-		strings.HasPrefix(path, "/v1/reward") ||
-		path == "/v1/solicitations" || path == "/v1/rewards" {
-		return classEvidence
-	}
-	return classNone
-}
+// classifyEndpoint maps a request path onto its admission class (the
+// route table's); paths outside the table are ungated.
+func classifyEndpoint(path string) endpointClass { return routeClass[path] }
 
 // OverloadConfig bounds the concurrent work each endpoint class may
 // hold. A request beyond a class's slot count waits in that class's

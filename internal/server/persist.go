@@ -1,24 +1,23 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"viewmap/internal/vp"
 )
 
-// VP database persistence: a length-prefixed stream of VP wire records
-// (the same anonymous format vehicles upload), each preceded by a
-// one-byte trusted flag — the only server-side annotation. The format
-// deliberately contains nothing else: the on-disk database is exactly
-// as anonymous as the in-memory one.
+// VP database persistence: the store section of the full-system stream
+// is a length-prefixed stream of VP wire records (the same anonymous
+// format vehicles upload), each preceded by a one-byte trusted flag —
+// the only server-side annotation. The format deliberately contains
+// nothing else: the on-disk database is exactly as anonymous as the
+// in-memory one.
 
-// persistMagic guards against feeding arbitrary files to LoadFrom.
+// persistMagic heads the store section's VP record stream.
 var persistMagic = [8]byte{'V', 'M', 'A', 'P', 'D', 'B', '0', '1'}
 
 // recordWriter frames VP records as `u32 wire length | u8 trusted flag
@@ -64,12 +63,6 @@ func (rw *recordWriter) write(w io.Writer, head []byte, profiles []*vp.Profile) 
 	return written + int64(n), err
 }
 
-// storeHead fills the VMAPDB01 stream header: magic and record count.
-func storeHead(head []byte, count int) {
-	copy(head, persistMagic[:])
-	binary.BigEndian.PutUint32(head[len(persistMagic):], uint32(count))
-}
-
 // storeStreamLen returns the byte length of the VMAPDB01 stream of
 // profiles, computed from each profile's fixed wire length.
 func storeStreamLen(profiles []*vp.Profile) int64 {
@@ -78,17 +71,6 @@ func storeStreamLen(profiles []*vp.Profile) int64 {
 		n += 5 + int64(p.WireLen())
 	}
 	return n
-}
-
-// SaveTo streams the whole database to w. It saves one consistent cut
-// (see snapshot): a save racing ongoing ingest persists a state the
-// store actually held at some moment, never a torn batch.
-func (s *Store) SaveTo(w io.Writer) error {
-	profiles := s.snapshot()
-	var head [12]byte
-	storeHead(head[:], len(profiles))
-	_, err := new(recordWriter).write(w, head[:], profiles)
-	return err
 }
 
 // saveSection streams the database as the store section of the
@@ -100,7 +82,8 @@ func (s *Store) saveSection(w io.Writer) error {
 	size := storeStreamLen(profiles)
 	var head [20]byte
 	binary.BigEndian.PutUint64(head[:8], uint64(size))
-	storeHead(head[8:], len(profiles))
+	copy(head[8:], persistMagic[:])
+	binary.BigEndian.PutUint32(head[16:], uint32(len(profiles)))
 	written, err := new(recordWriter).write(w, head[:], profiles)
 	if err == nil && written != 8+size {
 		// The prefix promised a length the stream did not deliver; the
@@ -110,26 +93,26 @@ func (s *Store) saveSection(w io.Writer) error {
 	return err
 }
 
-// LoadFrom ingests a database stream written by SaveTo, validating
-// every record as if it were a fresh upload. Records already present
-// are skipped; any other validation failure aborts the load.
-func (s *Store) LoadFrom(r io.Reader) (loaded int, err error) {
-	br := bufio.NewReader(r)
+// loadSection ingests the VMAPDB01 stream of a store section written
+// by saveSection, validating every record as if it were a fresh upload.
+// Records already present are skipped; any other validation failure
+// aborts the load.
+func (s *Store) loadSection(r io.Reader) (loaded int, err error) {
 	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return 0, fmt.Errorf("server: reading database header: %w", err)
 	}
 	if magic != persistMagic {
 		return 0, errors.New("server: not a ViewMap database file")
 	}
 	var countBuf [4]byte
-	if _, err := io.ReadFull(br, countBuf[:]); err != nil {
+	if _, err := io.ReadFull(r, countBuf[:]); err != nil {
 		return 0, err
 	}
 	count := binary.BigEndian.Uint32(countBuf[:])
 	for i := uint32(0); i < count; i++ {
 		var hdr [5]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return loaded, fmt.Errorf("server: record %d header: %w", i, err)
 		}
 		size := binary.BigEndian.Uint32(hdr[:4])
@@ -137,7 +120,7 @@ func (s *Store) LoadFrom(r io.Reader) (loaded int, err error) {
 			return loaded, fmt.Errorf("server: record %d claims %d bytes", i, size)
 		}
 		rec := make([]byte, size)
-		if _, err := io.ReadFull(br, rec); err != nil {
+		if _, err := io.ReadFull(r, rec); err != nil {
 			return loaded, fmt.Errorf("server: record %d body: %w", i, err)
 		}
 		p, err := vp.Unmarshal(rec)
@@ -155,35 +138,6 @@ func (s *Store) LoadFrom(r io.Reader) (loaded int, err error) {
 		}
 	}
 	return loaded, nil
-}
-
-// SaveFile writes the database to path atomically (via a temp file).
-func (s *Store) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := s.SaveTo(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadFile reads a database file written by SaveFile.
-func (s *Store) LoadFile(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	return s.LoadFrom(f)
 }
 
 // Full-system persistence: one file carrying the VP database, the
@@ -271,40 +225,31 @@ func (sys *System) SaveTo(w io.Writer) error {
 }
 
 // LoadFrom restores state written by SaveTo into this (freshly
-// constructed) system. For compatibility it also accepts a bare VP
-// database stream (the Store.SaveTo format): the store is loaded and
-// the bank and board keep their fresh state. Call before serving
-// traffic — the bank keypair is replaced in place.
+// constructed) system. Call before serving traffic — the bank keypair
+// is replaced in place.
 func (sys *System) LoadFrom(r io.Reader) (vps int, err error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(8)
-	if err != nil {
+	var magic [8]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return 0, fmt.Errorf("server: reading state header: %w", err)
 	}
-	if [8]byte(magic) == persistMagic {
-		return sys.store.LoadFrom(br)
-	}
-	if [8]byte(magic) != systemMagic {
+	if magic != systemMagic {
 		return 0, errors.New("server: not a ViewMap state file")
 	}
-	if _, err := br.Discard(8); err != nil {
-		return 0, err
-	}
-	storeSec, err := readSection(br)
+	storeSec, err := readSection(r)
 	if err != nil {
 		return 0, fmt.Errorf("server: store section: %w", err)
 	}
-	if vps, err = sys.store.LoadFrom(bytes.NewReader(storeSec)); err != nil {
+	if vps, err = sys.store.loadSection(bytes.NewReader(storeSec)); err != nil {
 		return vps, err
 	}
-	bankSec, err := readSection(br)
+	bankSec, err := readSection(r)
 	if err != nil {
 		return vps, fmt.Errorf("server: bank section: %w", err)
 	}
 	if err := sys.bank.LoadFrom(bytes.NewReader(bankSec)); err != nil {
 		return vps, err
 	}
-	evSec, err := readSection(br)
+	evSec, err := readSection(r)
 	if err != nil {
 		return vps, fmt.Errorf("server: evidence section: %w", err)
 	}
@@ -312,34 +257,4 @@ func (sys *System) LoadFrom(r io.Reader) (vps int, err error) {
 		return vps, err
 	}
 	return vps, nil
-}
-
-// SaveStateFile writes the full system state to path atomically.
-func (sys *System) SaveStateFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := sys.SaveTo(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadStateFile restores a state file written by SaveStateFile (or a
-// bare VP database written by Store.SaveFile).
-func (sys *System) LoadStateFile(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	return sys.LoadFrom(f)
 }

@@ -14,8 +14,20 @@ import (
 	"viewmap/internal/vp"
 )
 
+// newPersistSystem is a bare (non-durable) system for the
+// SaveTo/LoadFrom round trips.
+func newPersistSystem(t *testing.T) *System {
+	t.Helper()
+	sys, err := NewSystem(Config{AuthorityToken: "tok", Bank: sharedBankInternal(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
-	s := NewStore()
+	sys := newPersistSystem(t)
+	s := sys.Store()
 	trusted := fabricate(t, 0, 41)
 	trusted.Trusted = true
 	profiles := []int64{42, 43, 44}
@@ -27,17 +39,18 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := s.SaveTo(&buf); err != nil {
+	if err := sys.SaveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored := NewStore()
-	n, err := restored.LoadFrom(bytes.NewReader(buf.Bytes()))
+	restoredSys := newPersistSystem(t)
+	n, err := restoredSys.LoadFrom(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 4 {
 		t.Fatalf("loaded %d records, want 4", n)
 	}
+	restored := restoredSys.Store()
 	if restored.Len() != s.Len() {
 		t.Errorf("Len = %d, want %d", restored.Len(), s.Len())
 	}
@@ -219,58 +232,43 @@ func wantLinkSection(t *testing.T, profiles []*vp.Profile, m int64) []byte {
 }
 
 func TestLoadFromRejectsGarbage(t *testing.T) {
-	s := NewStore()
-	if _, err := s.LoadFrom(bytes.NewReader([]byte("not a database"))); err == nil {
+	sys := newPersistSystem(t)
+	if _, err := sys.LoadFrom(bytes.NewReader([]byte("not a state file"))); err == nil {
 		t.Error("bad magic should fail")
+	}
+	// A bare store stream is not a state file: VMAPDB01 appears only as
+	// the store section inside VMAPSYS1.
+	bare := append([]byte("VMAPDB01"), 0, 0, 0, 0)
+	if _, err := sys.LoadFrom(bytes.NewReader(bare)); err == nil {
+		t.Error("bare VMAPDB01 stream should fail")
 	}
 	// Truncated stream after a valid header.
 	var buf bytes.Buffer
-	good := NewStore()
-	good.Put(fabricate(t, 0, 50))
+	good := newPersistSystem(t)
+	good.Store().Put(fabricate(t, 0, 50))
 	if err := good.SaveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := s.LoadFrom(bytes.NewReader(data[:len(data)-10])); err == nil {
+	if _, err := sys.LoadFrom(bytes.NewReader(data[:len(data)-10])); err == nil {
 		t.Error("truncated stream should fail")
 	}
 }
 
 func TestLoadFromSkipsDuplicates(t *testing.T) {
-	s := NewStore()
-	s.Put(fabricate(t, 0, 60))
+	sys := newPersistSystem(t)
+	sys.Store().Put(fabricate(t, 0, 60))
 	var buf bytes.Buffer
-	if err := s.SaveTo(&buf); err != nil {
+	if err := sys.SaveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Loading into the same warm store is a no-op, not an error.
-	n, err := s.LoadFrom(bytes.NewReader(buf.Bytes()))
+	// Loading into the same warm system is a no-op, not an error.
+	n, err := sys.LoadFrom(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {
 		t.Errorf("loaded %d duplicates, want 0", n)
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "vpdb.bin")
-	s := NewStore()
-	s.Put(fabricate(t, 0, 70))
-	if err := s.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	restored := NewStore()
-	n, err := restored.LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Errorf("loaded %d, want 1", n)
-	}
-	if _, err := restored.LoadFile(filepath.Join(dir, "missing.bin")); err == nil {
-		t.Error("missing file should fail")
 	}
 }
 

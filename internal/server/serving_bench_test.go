@@ -9,22 +9,19 @@ import (
 	"viewmap/internal/vp"
 )
 
-// benchInvestigate measures repeated investigations of one warm minute
-// against a system loaded through the batched wire path. With the
-// viewmap cache enabled this is the incremental serving path (cache
-// hit + cached verdict); disabled, it is the rebuild-per-request
-// baseline the serving benchmark compares against.
-func benchInvestigate(b *testing.B, disableCache bool) {
+// benchInvestigate loads one warm minute through the batched wire path
+// and times serve over it: with it calling Investigate, the incremental
+// serving path (cache hit + cached verdict); with it rebuilding from
+// the stored profiles, the rebuild-per-request baseline the serving
+// benchmark compares against.
+func benchInvestigate(b *testing.B, serve func(sys *System, site geo.Rect) error) {
 	area := geo.NewRect(geo.Pt(0, 0), geo.Pt(2000, 2000))
 	profiles, err := core.SynthesizeLegitimate(core.SynthConfig{N: 300, Area: area, Seed: 17})
 	if err != nil {
 		b.Fatal(err)
 	}
 	ti := core.MarkTrustedNearest(profiles, area.Center())
-	sys, err := NewSystem(Config{
-		AuthorityToken: "tok", Bank: sharedBankInternal(b),
-		Store: StoreConfig{DisableViewmapCache: disableCache},
-	})
+	sys, err := NewSystem(Config{AuthorityToken: "tok", Bank: sharedBankInternal(b)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -41,13 +38,13 @@ func benchInvestigate(b *testing.B, disableCache bool) {
 		b.Fatal(err)
 	}
 	site := geo.RectAround(area.Center(), 300)
-	if _, err := sys.Investigate("tok", site, 0); err != nil {
+	if err := serve(sys, site); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Investigate("tok", site, 0); err != nil {
+		if err := serve(sys, site); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,11 +52,28 @@ func benchInvestigate(b *testing.B, disableCache bool) {
 
 // BenchmarkInvestigateWarmCached is the incremental serving path end
 // to end: viewmap cache hit plus verdict cache hit.
-func BenchmarkInvestigateWarmCached(b *testing.B) { benchInvestigate(b, false) }
+func BenchmarkInvestigateWarmCached(b *testing.B) {
+	benchInvestigate(b, func(sys *System, site geo.Rect) error {
+		_, err := sys.Investigate("tok", site, 0)
+		return err
+	})
+}
 
 // BenchmarkInvestigateRebuildPerRequest is the pre-incremental
-// baseline: core.Build plus TrustRank on every request.
-func BenchmarkInvestigateRebuildPerRequest(b *testing.B) { benchInvestigate(b, true) }
+// baseline: core.Build over the minute's stored profiles plus a cold
+// TrustRank on every request.
+func BenchmarkInvestigateRebuildPerRequest(b *testing.B) {
+	benchInvestigate(b, func(sys *System, site geo.Rect) error {
+		vm, err := core.Build(sys.Store().Minute(0), core.BuildConfig{
+			Site: site, Minute: 0, RequirePlausible: true,
+		})
+		if err != nil {
+			return err
+		}
+		_, err = vm.VerifySite(vm.InSite(site), core.TrustRankConfig{})
+		return err
+	})
+}
 
 // BenchmarkVerifySiteCachedViewmap runs the full TrustRank VerifySite
 // every iteration over the cached, already-linked viewmap of a warm

@@ -1,7 +1,8 @@
 // Package server implements the ViewMap system service: the VP
 // database fed by anonymous uploads, viewmap construction and
-// verification around incidents, video solicitation and validation,
-// the human-review queue, and untraceable rewarding (Sections 4-5).
+// verification around incidents, and the evidence desk that solicits
+// videos, validates them against their VPs and pays for them in
+// untraceable cash (Sections 4-5).
 package server
 
 import (
@@ -110,14 +111,6 @@ type StoreConfig struct {
 	// DSRCRange is the viewlink proximity radius used by the
 	// incremental linker; zero selects the 400 m default.
 	DSRCRange float64
-	// DisableViewmapCache turns off the incremental serving path
-	// entirely: ingest skips link-on-ingest, and every ViewmapFor
-	// call rebuilds the viewmap from scratch with core.Build. This is
-	// the rebuild-per-request baseline the serving benchmark compares
-	// against; production configurations leave it false. It cannot be
-	// combined with retention (NewSystem refuses the pair): segments
-	// carry each minute's viewlinks, and this mode builds none.
-	DisableViewmapCache bool
 	// SegmentDir is where evicted minutes are spilled as per-minute
 	// segment files (retention.go). Empty disables spilling, and with
 	// it retention.
@@ -173,8 +166,7 @@ type minuteShard struct {
 	// lastTouch is the recency stamp for the cold-set LRU.
 	lastTouch atomic.Uint64
 
-	// ring feeds the shard's link worker (burst.go); nil when the
-	// viewmap cache — and with it link-on-ingest — is disabled.
+	// ring feeds the shard's link worker (burst.go).
 	ring *ingestRing
 	// stopWorker, closed under stopOnce, tells the link worker to drain
 	// and exit; workerDone is closed by the worker on the way out.
@@ -240,13 +232,11 @@ func (s *Store) newShard(m int64) *minuteShard {
 			DSRCRange:        s.cfg.DSRCRange,
 			RequirePlausible: true,
 		}),
-		cache:   make(map[geo.Rect]*siteCacheEntry),
-		changed: make(chan struct{}),
-	}
-	if !s.cfg.DisableViewmapCache {
-		sh.ring = newIngestRing()
-		sh.stopWorker = make(chan struct{})
-		sh.workerDone = make(chan struct{})
+		cache:      make(map[geo.Rect]*siteCacheEntry),
+		changed:    make(chan struct{}),
+		ring:       newIngestRing(),
+		stopWorker: make(chan struct{}),
+		workerDone: make(chan struct{}),
 	}
 	return sh
 }
@@ -636,8 +626,7 @@ type ShardStat struct {
 	VPs int
 	// Quarantined counts slab profiles the linker refused to link.
 	Quarantined int
-	// Epoch is the shard builder's ingest epoch (zero with the
-	// viewmap cache disabled).
+	// Epoch is the shard builder's ingest epoch.
 	Epoch uint64
 }
 
@@ -691,14 +680,11 @@ func (s *Store) ViewmapFor(site geo.Rect, minute int64) (*core.Viewmap, error) {
 
 // SiteViewmap returns the viewmap for an investigation site and
 // minute, together with its content epoch and extraction generation
-// (see core.SiteView.Refresh). On the incremental path (the default)
-// the minute's maintained graph is already linked and each site keeps
-// a patched induced subgraph, so a repeated site pays only for the
-// ingest delta since its last extraction — zero when the minute's
-// content around the site is unchanged. With DisableViewmapCache set,
-// the viewmap is rebuilt from scratch with core.Build on every call
-// (the rebuild-per-request baseline) and both stamps are zero: the
-// identity is unknown and callers must not cache verdicts under it.
+// (see core.SiteView.Refresh). The minute's maintained graph is
+// already linked and each site keeps a patched induced subgraph, so a
+// repeated site pays only for the ingest delta since its last
+// extraction — zero when the minute's content around the site is
+// unchanged.
 //
 // The returned viewmap is immutable; later ingests produce new
 // viewmaps rather than mutating published ones, so callers may use it
@@ -710,19 +696,6 @@ func (s *Store) SiteViewmap(site geo.Rect, minute int64) (*core.Viewmap, uint64,
 	}
 	if sh == nil {
 		return nil, 0, 0, fmt.Errorf("%w %d", ErrNoMinute, minute)
-	}
-	if s.cfg.DisableViewmapCache {
-		// Baseline: snapshot the slab under the lock, relink outside it.
-		sh.mu.Lock()
-		profiles := make([]*vp.Profile, len(sh.profiles))
-		copy(profiles, sh.profiles)
-		sh.mu.Unlock()
-		vm, err := core.Build(profiles, core.BuildConfig{
-			Site: site, Minute: minute,
-			DSRCRange:        s.cfg.DSRCRange,
-			RequirePlausible: true,
-		})
-		return vm, 0, 0, err
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

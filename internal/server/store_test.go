@@ -3,7 +3,6 @@ package server
 import (
 	crand "crypto/rand"
 	"crypto/rsa"
-	"math/big"
 	"math/rand"
 	"sync"
 	"testing"
@@ -173,41 +172,5 @@ func TestSystemAuthorityGate(t *testing.T) {
 	}
 	if _, err := sys.Investigate("bad", geo.RectAround(geo.Pt(0, 0), 10), 0); err != ErrUnauthorized {
 		t.Errorf("bad token investigate = %v, want ErrUnauthorized", err)
-	}
-	if _, err := sys.Review("bad", nil, 1); err != ErrUnauthorized {
-		t.Errorf("bad token review = %v, want ErrUnauthorized", err)
-	}
-}
-
-func TestSystemRewardOwnership(t *testing.T) {
-	sys, err := NewSystem(Config{AuthorityToken: "tok", Bank: sharedBankInternal(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var q vd.Secret
-	q[0] = 9
-	id := vd.DeriveVPID(q)
-	// No offer posted: even the right secret fails.
-	if _, err := sys.ClaimReward(id, q); err == nil {
-		t.Error("claim without a posted offer should fail")
-	}
-	var wrong vd.Secret
-	if _, err := sys.ClaimReward(id, wrong); err != ErrBadOwnership {
-		t.Errorf("wrong secret = %v, want ErrBadOwnership", err)
-	}
-	if _, err := sys.SignBlindedForReward(id, wrong, []*big.Int{big.NewInt(1)}); err != ErrBadOwnership {
-		t.Errorf("wrong secret blind = %v, want ErrBadOwnership", err)
-	}
-}
-
-func TestSystemSubmitVideoGate(t *testing.T) {
-	sys, err := NewSystem(Config{AuthorityToken: "tok", Bank: sharedBankInternal(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var id vd.VPID
-	id[0] = 1
-	if err := sys.SubmitVideo(id, [][]byte{{1}}); err != ErrNotSolicited {
-		t.Errorf("unsolicited video = %v, want ErrNotSolicited", err)
 	}
 }

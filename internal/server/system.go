@@ -7,7 +7,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/big"
 	"sort"
 	"sync"
 	"time"
@@ -22,8 +21,8 @@ import (
 )
 
 // System is the ViewMap authority service: it owns the VP database,
-// runs investigations, posts solicitations and rewards, validates
-// uploaded videos, and mints untraceable cash.
+// runs investigations, and hosts the evidence desk that solicits,
+// verifies and pays for videos in untraceable cash.
 type System struct {
 	store    *Store
 	bank     *reward.Bank
@@ -53,11 +52,6 @@ type System struct {
 	// slowRequest is the tracing threshold: a request slower than this
 	// logs one structured line with its span breakdown; zero disables.
 	slowRequest time.Duration
-
-	mu            sync.Mutex
-	solicitations map[vd.VPID]*Solicitation
-	rewardsPosted map[vd.VPID]*RewardOffer
-	reviewQueue   []*Submission
 
 	// verdicts caches converged TrustRank verifications per investigated
 	// (site, minute). Entry identity is the extraction's content epoch
@@ -105,30 +99,6 @@ const verdictCacheMax = 64
 // help, and the certified early-out would rarely fire anyway).
 const warmGrowthMax = 8
 
-// Solicitation is a posted request for the video behind a VP
-// identifier. Only identifiers are public; the system never reveals
-// the location or time under investigation (Section 5.2.3).
-type Solicitation struct {
-	ID        vd.VPID
-	PostedAt  time.Time
-	Fulfilled bool
-}
-
-// RewardOffer is a posted 'request for reward' for a reviewed video.
-type RewardOffer struct {
-	ID vd.VPID
-	// Units is the amount of virtual cash granted.
-	Units int
-	// Remaining counts blind signatures not yet issued.
-	Remaining int
-}
-
-// Submission is an uploaded video awaiting human review.
-type Submission struct {
-	ID     vd.VPID
-	Chunks [][]byte
-}
-
 // Config parameterizes the system.
 type Config struct {
 	// AuthorityToken authenticates police/authority requests. Empty
@@ -140,7 +110,7 @@ type Config struct {
 	// fresh key is generated.
 	Bank *reward.Bank
 	// Store parameterizes the sharded VP database (DSRC range,
-	// rebuild-per-request baseline mode).
+	// segment spilling and retention).
 	Store StoreConfig
 	// Evidence parameterizes the evidence subsystem (redaction frame
 	// dimensions, blur parameters, video size cap).
@@ -197,11 +167,6 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 	}
 	store := NewStoreWith(cfg.Store)
-	if cfg.Store.DisableViewmapCache && store.RetentionEnabled() {
-		// Segments persist each minute's viewlinks, and a store without
-		// the viewmap cache builds no graph to take them from.
-		return nil, errors.New("server: retention needs the viewmap cache; DisableViewmapCache cannot be combined with it")
-	}
 	ev, err := evidence.NewService(cfg.Evidence, store, bank)
 	if err != nil {
 		return nil, err
@@ -220,8 +185,6 @@ func NewSystem(cfg Config) (*System, error) {
 		slowRequest:    cfg.SlowRequest,
 		now:            now,
 		maxUploadLag:   cfg.MaxUploadLagMinutes,
-		solicitations:  make(map[vd.VPID]*Solicitation),
-		rewardsPosted:  make(map[vd.VPID]*RewardOffer),
 		verdicts:       make(map[investigationKey]*verdictEntry),
 	}
 	// Pipeline stages recorded below the HTTP layer (ring wait, Stage,
@@ -469,47 +432,43 @@ func (sys *System) UploadTrustedVP(token string, data []byte) error {
 
 // InvestigationReport summarizes one viewmap verification.
 type InvestigationReport struct {
-	Minute         int64
-	Members        int
-	Edges          int
-	InSite         int
-	Legitimate     []vd.VPID
-	NewlySolicited int
+	Minute     int64
+	Members    int
+	Edges      int
+	InSite     int
+	Legitimate []vd.VPID
 }
 
 // Investigate fetches (or, on first sight of the site, extracts from
 // the minute's incrementally maintained graph) the viewmap for an
-// incident minute and site, verifies it with TrustRank, and posts
-// solicitations for the legitimate VPs. Authority only.
+// incident minute and site and verifies it with TrustRank. It is
+// read-only: soliciting the legitimate VPs' videos is OpenSolicitation's
+// job. Authority only.
 func (sys *System) Investigate(token string, site geo.Rect, minute int64) (*InvestigationReport, error) {
 	if err := sys.checkAuthority(token); err != nil {
 		return nil, err
 	}
 	report, _, err := sys.investigateAt(site, minute)
-	if err != nil {
-		return nil, err
-	}
-	sys.mu.Lock()
-	defer sys.mu.Unlock()
-	for _, id := range report.Legitimate {
-		if _, dup := sys.solicitations[id]; !dup {
-			sys.solicitations[id] = &Solicitation{ID: id, PostedAt: sys.now()}
-			report.NewlySolicited++
-		}
-	}
-	return report, nil
+	return report, err
 }
 
-// investigateAt extracts and verifies (site, minute) and builds the
-// report, with no solicitation side effects. It additionally returns
-// the verified extraction's content epoch — the identity the watch
+// verify extracts the viewmap for (site, minute) from the minute's
+// incrementally maintained graph and verifies it with TrustRank. It
+// also returns the extraction's content epoch — the identity the watch
 // endpoint dedups and resumes on.
-func (sys *System) investigateAt(site geo.Rect, minute int64) (*InvestigationReport, uint64, error) {
+func (sys *System) verify(site geo.Rect, minute int64) (*core.Viewmap, *core.Verdict, uint64, error) {
 	vm, epoch, gen, err := sys.store.SiteViewmap(site, minute)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	verdict, err := sys.verifiedSite(vm, epoch, gen, site, minute)
+	return vm, verdict, epoch, err
+}
+
+// investigateAt verifies (site, minute) and builds the report, with
+// the extraction's content epoch.
+func (sys *System) investigateAt(site geo.Rect, minute int64) (*InvestigationReport, uint64, error) {
+	vm, verdict, epoch, err := sys.verify(site, minute)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -522,12 +481,11 @@ func (sys *System) investigateAt(site geo.Rect, minute int64) (*InvestigationRep
 	}, epoch, nil
 }
 
-// InvestigateSnapshot verifies (site, minute) like Investigate but
-// posts no solicitations, and returns the extraction's content epoch
-// alongside the report. The watch endpoint streams reports by calling
-// this each time the minute's epoch advances, emitting only when the
-// content epoch moved past the previously delivered one. Authority
-// only.
+// InvestigateSnapshot verifies (site, minute) like Investigate and
+// returns the extraction's content epoch alongside the report. The
+// watch endpoint streams reports by calling this each time the
+// minute's epoch advances, emitting only when the content epoch moved
+// past the previously delivered one. Authority only.
 func (sys *System) InvestigateSnapshot(token string, site geo.Rect, minute int64) (*InvestigationReport, uint64, error) {
 	if err := sys.checkAuthority(token); err != nil {
 		return nil, 0, err
@@ -562,20 +520,15 @@ type FullReport struct {
 	Verdicts []VPVerdict
 }
 
-// InvestigateReport verifies (site, minute) like Investigate but
-// returns the per-VP verdict of every viewmap member instead of
-// posting solicitations — the scoring surface the online attack
-// campaigns (internal/attack.Online) are graded through. It is
-// read-only: no solicitation state changes. Authority only.
+// InvestigateReport verifies (site, minute) like Investigate and
+// returns the per-VP verdict of every viewmap member — the scoring
+// surface the online attack campaigns (internal/attack.Online) are
+// graded through. Authority only.
 func (sys *System) InvestigateReport(token string, site geo.Rect, minute int64) (*FullReport, error) {
 	if err := sys.checkAuthority(token); err != nil {
 		return nil, err
 	}
-	vm, epoch, gen, err := sys.store.SiteViewmap(site, minute)
-	if err != nil {
-		return nil, err
-	}
-	verdict, err := sys.verifiedSite(vm, epoch, gen, site, minute)
+	vm, verdict, _, err := sys.verify(site, minute)
 	if err != nil {
 		return nil, err
 	}
@@ -621,18 +574,8 @@ func (sys *System) InvestigateReport(token string, site geo.Rect, minute int64) 
 // converged score vector warm-starts the re-verification (same
 // generation only, and only within the warmGrowthMax perturbation
 // cutoff); core.VerifySiteFrom certifies the warm verdict equal to the
-// cold one or falls back internally. Epoch zero means the extraction
-// carries no identity (the rebuild-per-request baseline), which
-// degrades to verify-per-request exactly as that mode always has.
+// cold one or falls back internally.
 func (sys *System) verifiedSite(vm *core.Viewmap, epoch, gen uint64, site geo.Rect, minute int64) (*core.Verdict, error) {
-	if epoch == 0 {
-		verdict, stats, err := vm.VerifySiteFrom(vm.InSite(site), nil, core.TrustRankConfig{})
-		if err != nil {
-			return nil, err
-		}
-		sys.noteTrustRank(stats)
-		return verdict, nil
-	}
 	key := investigationKey{site: site, minute: minute}
 	sys.verdictMu.Lock()
 	e := sys.verdicts[key]
@@ -746,164 +689,6 @@ func (sys *System) InvestigatePeriod(token string, site geo.Rect, firstMinute, l
 	return reports, nil
 }
 
-// Solicitations lists identifiers currently marked 'request for
-// video'. Vehicles poll this anonymously.
-func (sys *System) Solicitations() []vd.VPID {
-	sys.mu.Lock()
-	defer sys.mu.Unlock()
-	out := make([]vd.VPID, 0, len(sys.solicitations))
-	for id, s := range sys.solicitations {
-		if !s.Fulfilled {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// ErrNotSolicited is returned for video uploads nobody asked for —
-// the automation that shields human reviewers from dump attacks.
-var ErrNotSolicited = errors.New("server: video was not solicited")
-
-// SubmitVideo accepts an anonymously uploaded video for a solicited
-// VP. The video is validated against the system-owned VP via the
-// cascading hash replay before it ever reaches a human (Section
-// 5.2.3); only then does it enter the review queue.
-func (sys *System) SubmitVideo(id vd.VPID, chunks [][]byte) error {
-	sys.mu.Lock()
-	sol, ok := sys.solicitations[id]
-	if !ok || sol.Fulfilled {
-		sys.mu.Unlock()
-		return ErrNotSolicited
-	}
-	sys.mu.Unlock()
-
-	p, ok := sys.store.Get(id)
-	if !ok {
-		return errors.New("server: no stored VP for video")
-	}
-	if err := vd.Replay(id, p.VDs, chunks); err != nil {
-		return fmt.Errorf("server: video fails VP validation: %w", err)
-	}
-
-	sys.mu.Lock()
-	defer sys.mu.Unlock()
-	if sol.Fulfilled {
-		return ErrNotSolicited
-	}
-	sol.Fulfilled = true
-	sys.reviewQueue = append(sys.reviewQueue, &Submission{ID: id, Chunks: chunks})
-	return nil
-}
-
-// ReviewQueueLen returns the number of submissions awaiting review.
-func (sys *System) ReviewQueueLen() int {
-	sys.mu.Lock()
-	defer sys.mu.Unlock()
-	return len(sys.reviewQueue)
-}
-
-// Review pops the next submission and applies the investigator's
-// decision. Approved submissions post a reward offer of the given
-// units. Authority only.
-func (sys *System) Review(token string, approve func(*Submission) bool, units int) (*Submission, error) {
-	if err := sys.checkAuthority(token); err != nil {
-		return nil, err
-	}
-	if units <= 0 {
-		return nil, fmt.Errorf("server: reward units must be positive, got %d", units)
-	}
-	sys.mu.Lock()
-	if len(sys.reviewQueue) == 0 {
-		sys.mu.Unlock()
-		return nil, errors.New("server: review queue empty")
-	}
-	sub := sys.reviewQueue[0]
-	sys.reviewQueue = sys.reviewQueue[1:]
-	sys.mu.Unlock()
-
-	if approve(sub) {
-		sys.mu.Lock()
-		sys.rewardsPosted[sub.ID] = &RewardOffer{ID: sub.ID, Units: units, Remaining: units}
-		sys.mu.Unlock()
-	}
-	return sub, nil
-}
-
-// PostedRewards lists identifiers marked 'request for reward'.
-func (sys *System) PostedRewards() []vd.VPID {
-	sys.mu.Lock()
-	defer sys.mu.Unlock()
-	out := make([]vd.VPID, 0, len(sys.rewardsPosted))
-	for id, offer := range sys.rewardsPosted {
-		if offer.Remaining > 0 {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// ErrBadOwnership is returned when the presented secret does not hash
-// to the VP identifier.
-var ErrBadOwnership = errors.New("server: secret does not prove ownership")
-
-// ClaimReward proves ownership of a rewarded VP (R = H(Q)) and returns
-// the number of cash units available.
-func (sys *System) ClaimReward(id vd.VPID, q vd.Secret) (int, error) {
-	if !id.Matches(q) {
-		return 0, ErrBadOwnership
-	}
-	sys.mu.Lock()
-	defer sys.mu.Unlock()
-	offer, ok := sys.rewardsPosted[id]
-	if !ok || offer.Remaining == 0 {
-		return 0, errors.New("server: no reward posted for this VP")
-	}
-	return offer.Remaining, nil
-}
-
-// SignBlindedForReward issues blind signatures for up to the remaining
-// units of a reward offer, after re-verifying ownership. The system
-// never sees the messages it signs (Appendix A).
-func (sys *System) SignBlindedForReward(id vd.VPID, q vd.Secret, blinded []*big.Int) ([]*big.Int, error) {
-	if !id.Matches(q) {
-		return nil, ErrBadOwnership
-	}
-	sys.mu.Lock()
-	offer, ok := sys.rewardsPosted[id]
-	if !ok || offer.Remaining < len(blinded) || len(blinded) == 0 {
-		sys.mu.Unlock()
-		return nil, fmt.Errorf("server: cannot issue %d signatures", len(blinded))
-	}
-	offer.Remaining -= len(blinded)
-	sys.mu.Unlock()
-
-	out := make([]*big.Int, 0, len(blinded))
-	for _, b := range blinded {
-		sig, err := sys.bank.SignBlinded(b)
-		if err != nil {
-			// Refund the whole batch on malformed input: the error
-			// return discards every signature computed so far, so no
-			// unit was actually issued.
-			sys.mu.Lock()
-			offer.Remaining += len(blinded)
-			sys.mu.Unlock()
-			return nil, err
-		}
-		out = append(out, sig)
-	}
-	return out, nil
-}
-
-// Redeem verifies and burns one unit of virtual cash at the legacy
-// reward desk. On a durable system the burn is logged before it is
-// acknowledged, so the double-spend ledger survives a crash.
-func (sys *System) Redeem(c *reward.Cash) error {
-	if err := sys.bank.Redeem(c); err != nil {
-		return err
-	}
-	return sys.journalCommitted(walRecRedeem, encodeRedeem(redeemDeskBank, c))
-}
-
 // Evidence exposes the evidence subsystem: solicitation board,
 // anonymous delivery, payout, and blurred release.
 func (sys *System) Evidence() *evidence.Service { return sys.evidence }
@@ -928,17 +713,12 @@ type SolicitationReport struct {
 // and posts (or extends) the evidence solicitation for it: the
 // TrustRank-legitimate VP identifiers are listed on the public board
 // at the given per-video offer. Authority only. This is the evidence
-// subsystem's entry point; the legacy per-VP Investigate flow remains
-// for the manual review path.
+// subsystem's entry point.
 func (sys *System) OpenSolicitation(token string, site geo.Rect, minute int64, units int) (*SolicitationReport, error) {
 	if err := sys.checkAuthority(token); err != nil {
 		return nil, err
 	}
-	vm, epoch, gen, err := sys.store.SiteViewmap(site, minute)
-	if err != nil {
-		return nil, err
-	}
-	verdict, err := sys.verifiedSite(vm, epoch, gen, site, minute)
+	vm, verdict, _, err := sys.verify(site, minute)
 	if err != nil {
 		return nil, err
 	}

@@ -19,33 +19,14 @@ import (
 // pre-computed quantiles. docs/observability.md is the catalog.
 
 // knownEndpoints lists the HTTP paths that get their own latency
-// histogram; anything else (typos, probes) shares the "other" series,
-// so label cardinality is fixed at compile time.
+// histogram — the route table's; anything else (typos, probes) shares
+// the "other" series, so label cardinality is fixed at compile time.
 func knownEndpoints() []string {
-	return []string{
-		"/v1/vp",
-		"/v1/vp/batch",
-		"/v1/vp/trusted",
-		"/v1/investigate",
-		"/v1/investigate/period",
-		"/v1/investigate/report",
-		"/v1/investigate/watch",
-		"/v1/solicitations",
-		"/v1/video",
-		"/v1/rewards",
-		"/v1/reward/claim",
-		"/v1/reward/blind",
-		"/v1/reward/redeem",
-		"/v1/bank",
-		"/v1/evidence/solicit",
-		"/v1/evidence/solicitations",
-		"/v1/evidence/deliver",
-		"/v1/evidence/payout",
-		"/v1/evidence/redeem",
-		"/v1/evidence/video",
-		"/v1/stats",
-		"/v1/metrics",
+	out := make([]string, len(routes))
+	for i, rt := range routes {
+		out[i] = rt.path
 	}
+	return out
 }
 
 // withTelemetry wraps the whole HTTP surface (outside admission, so

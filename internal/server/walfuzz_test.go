@@ -35,7 +35,7 @@ func walSeedStream(tb testing.TB) []byte {
 		{walRecEvidenceOpen, encodeEvidenceOpen(durSite, 0, 2, []vd.VPID{own.p.ID()})},
 		{walRecEvidenceDeliver, encodeEvidenceDeliver(own.p.ID(), [][]byte{[]byte("chunk")})},
 		{walRecEvidencePayout, encodeEvidencePayout(own.p.ID(), 1)},
-		{walRecRedeem, encodeRedeem(redeemDeskBank, &reward.Cash{M: []byte("m"), Sig: big.NewInt(7)})},
+		{walRecRedeem, encodeRedeem(redeemDeskEvidence, &reward.Cash{M: []byte("m"), Sig: big.NewInt(7)})},
 	}
 	for i, r := range records {
 		if err := walWriteRecord(&buf, uint64(i+1), r.typ, r.body); err != nil {

@@ -129,9 +129,8 @@ type FaultPlan struct {
 
 // IncidentPlan is one correlated evidence-demand spike: at the end of
 // Minute, the authority opens a solicitation over City's central site
-// and Polls concurrent vehicles immediately poll the evidence board
-// and the legacy solicitation list — the "everyone saw the crash"
-// stampede.
+// and Polls concurrent vehicles immediately poll the evidence board —
+// the "everyone saw the crash" stampede.
 type IncidentPlan struct {
 	// Minute is the minute index after whose uploads the incident fires.
 	Minute int
@@ -1257,10 +1256,6 @@ func Scenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 					t0 := time.Now()
 					if _, err := api.EvidenceBoard(); err != nil {
 						pollErr <- fmt.Errorf("sim: incident board poll minute %d: %w", m, err)
-						return
-					}
-					if _, err := api.Solicitations(); err != nil {
-						pollErr <- fmt.Errorf("sim: incident solicitation poll minute %d: %w", m, err)
 						return
 					}
 					latMu.Lock()

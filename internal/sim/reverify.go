@@ -6,11 +6,11 @@ package sim
 // verdict, so each re-investigation must re-run TrustRank — the
 // question is from where. The incremental system patches the cached
 // site view and warm-starts the power iteration from the previous
-// epoch's converged score vector; the cold baseline (viewmap cache
-// disabled) rebuilds the extraction and iterates from the uniform
-// vector every time. Both answers are asserted identical wave by wave
-// before any timing is reported, so the speedup is over a proven-equal
-// computation.
+// epoch's converged score vector; the cold baseline (rebuildVerify)
+// rebuilds the viewmap from the stored profiles with core.Build and
+// iterates from the uniform vector every time. Both answers are
+// asserted identical wave by wave before any timing is reported, so
+// the speedup is over a proven-equal computation.
 
 import (
 	"fmt"
@@ -60,9 +60,9 @@ func (c ReverifyConfig) withDefaults() ReverifyConfig {
 type ReverifyResult struct {
 	// Waves is the number of flood waves timed.
 	Waves int
-	// WarmLatency and ColdLatency are the mean post-wave investigation
-	// latencies of the incremental system and the rebuild-per-request
-	// baseline.
+	// WarmLatency and ColdLatency are the mean post-wave latencies of
+	// the incremental system's investigation and of the
+	// rebuild-per-request baseline.
 	WarmLatency, ColdLatency time.Duration
 	// Speedup is ColdLatency / WarmLatency.
 	Speedup float64
@@ -79,10 +79,11 @@ type ReverifyResult struct {
 	Members, Legitimate int
 }
 
-// Reverify runs the post-flood re-verification benchmark: identical
-// honest populations and attack waves land in both systems, and after
-// every wave each system re-investigates the same site. Reports must
-// match bit for bit; only then are the latencies compared.
+// Reverify runs the post-flood re-verification benchmark: an honest
+// population and then attack waves land in the system, and after every
+// wave the system re-investigates the same site while the baseline
+// recomputes it from the stored profiles. Reports must match bit for
+// bit; only then are the latencies compared.
 func Reverify(cfg ReverifyConfig) (*ReverifyResult, error) {
 	cfg = cfg.withDefaults()
 	bank, err := benchBank()
@@ -93,14 +94,6 @@ func Reverify(cfg ReverifyConfig) (*ReverifyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cold, err := server.NewSystem(server.Config{
-		AuthorityToken: "bench", Bank: bank,
-		Store: server.StoreConfig{DisableViewmapCache: true},
-	})
-	if err != nil {
-		return nil, err
-	}
-	systems := []*server.System{warm, cold}
 
 	area := geo.NewRect(geo.Pt(0, 0), geo.Pt(2000, 2000))
 	site := geo.RectAround(area.Center(), 300)
@@ -114,20 +107,14 @@ func Reverify(cfg ReverifyConfig) (*ReverifyResult, error) {
 	upload := func(ps []*vp.Profile) error {
 		for off := 0; off < len(ps); off += cfg.BatchSize {
 			end := min(off+cfg.BatchSize, len(ps))
-			wire := vp.MarshalBatch(ps[off:end])
-			for _, sys := range systems {
-				if _, err := sys.UploadVPBatch(wire); err != nil {
-					return err
-				}
+			if _, err := warm.UploadVPBatch(vp.MarshalBatch(ps[off:end])); err != nil {
+				return err
 			}
 		}
 		return nil
 	}
-	trustedWire := profiles[ti].Marshal()
-	for _, sys := range systems {
-		if err := sys.UploadTrustedVP("bench", trustedWire); err != nil {
-			return nil, err
-		}
+	if err := warm.UploadTrustedVP("bench", profiles[ti].Marshal()); err != nil {
+		return nil, err
 	}
 	anon := make([]*vp.Profile, 0, len(profiles)-1)
 	for i, p := range profiles {
@@ -140,20 +127,20 @@ func Reverify(cfg ReverifyConfig) (*ReverifyResult, error) {
 	}
 
 	// Prime: the first investigation extracts the site view and runs
-	// the one unavoidable cold verification on both systems.
+	// the one unavoidable cold verification.
 	check := func(wave int) (*server.InvestigationReport, error) {
 		rw, err := warm.Investigate("bench", site, 0)
 		if err != nil {
 			return nil, err
 		}
-		rc, err := cold.Investigate("bench", site, 0)
+		vm, verdict, err := rebuildVerify(warm, site, 0)
 		if err != nil {
 			return nil, err
 		}
-		if rw.Members != rc.Members || rw.Edges != rc.Edges ||
-			fmt.Sprint(rw.Legitimate) != fmt.Sprint(rc.Legitimate) {
+		if rc := verdict.LegitimateIDs(vm); rw.Members != vm.Len() || rw.Edges != vm.NumEdges() ||
+			fmt.Sprint(rw.Legitimate) != fmt.Sprint(rc) {
 			return nil, fmt.Errorf("sim: reverify wave %d: warm report (%d members, %d edges, %d legitimate) diverges from cold (%d, %d, %d)",
-				wave, rw.Members, rw.Edges, len(rw.Legitimate), rc.Members, rc.Edges, len(rc.Legitimate))
+				wave, rw.Members, rw.Edges, len(rw.Legitimate), vm.Len(), vm.NumEdges(), len(rc))
 		}
 		return rw, nil
 	}
@@ -185,7 +172,7 @@ func Reverify(cfg ReverifyConfig) (*ReverifyResult, error) {
 		}
 		warmTotal += time.Since(start)
 		start = time.Now()
-		if _, err := cold.Investigate("bench", site, 0); err != nil {
+		if _, _, err := rebuildVerify(warm, site, 0); err != nil {
 			return nil, err
 		}
 		coldTotal += time.Since(start)
@@ -232,7 +219,7 @@ func (r *ReverifyResult) Rows() []string {
 		fmt.Sprintf("incremental system TrustRank runs: %d warm (median %d iterations), %d cold (median %d iterations)",
 			r.WarmRuns, r.WarmP50Iters, r.ColdRuns, r.ColdP50Iters),
 		fmt.Sprintf("warm re-verification:  %12v/wave (patched site view + warm-started TrustRank)", r.WarmLatency),
-		fmt.Sprintf("cold recompute:        %12v/wave (re-extraction + TrustRank from uniform)", r.ColdLatency),
+		fmt.Sprintf("cold recompute:        %12v/wave (core.Build + TrustRank from uniform)", r.ColdLatency),
 		fmt.Sprintf("speedup: %.1fx (post-flood re-investigation, verdicts asserted identical)", r.Speedup),
 	}
 }

@@ -1,52 +1,56 @@
 package sim
 
-// Warm-vs-cold equivalence over the real HTTP surface: the same honest
-// population and the same attack.Online flood waves land on an
-// incremental system and on a viewmap-cache-disabled baseline, and
-// after every wave the per-VP verdict reports fetched through the wire
-// client must match bit for bit. This is the serving-layer counterpart
-// of core's TestSiteViewEquivalenceProperty: it additionally covers
-// the verdict cache, the content-epoch keying, and the interleaved
-// batch ingest the online adversary hides in.
+// Warm-vs-cold equivalence over the real HTTP surface: an honest
+// population and then attack.Online flood waves land on an incremental
+// system, and after every wave the per-VP verdict report fetched
+// through the wire client must match, bit for bit, the
+// rebuild-per-request baseline recomputed from the same stored
+// profiles. This is the serving-layer counterpart of core's
+// TestSiteViewEquivalenceProperty: it additionally covers the verdict
+// cache, the content-epoch keying, and the interleaved batch ingest
+// the online adversary hides in.
 
 import (
+	"bytes"
 	"fmt"
-	"net/http/httptest"
+	"sort"
 	"testing"
 
 	"viewmap/internal/attack"
 	"viewmap/internal/client"
+	"viewmap/internal/geo"
 	"viewmap/internal/server"
 	"viewmap/internal/vp"
 )
 
-// reverifyHarness boots one system behind httptest with an aimed
-// online adversary, optionally with the viewmap cache disabled (the
-// cold rebuild-per-request baseline).
-func reverifyHarness(t *testing.T, coldBaseline bool) *onlineHarness {
+// coldOutcome is the baseline side of the comparison: the wire
+// report's fields recomputed with rebuildVerify, verdicts in ascending
+// identifier order as the server sorts them.
+func coldOutcome(t *testing.T, sys *server.System, site geo.Rect) *client.InvestigationOutcome {
 	t.Helper()
-	bank, err := benchBank()
+	vm, verdict, err := rebuildVerify(sys, site, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := server.Config{AuthorityToken: attackToken, Bank: bank}
-	if coldBaseline {
-		cfg.Store = server.StoreConfig{DisableViewmapCache: true}
+	inSite := vm.InSite(site)
+	out := &client.InvestigationOutcome{
+		Members: vm.Len(), Edges: vm.NumEdges(), InSite: len(inSite),
+		Verdicts: make([]client.VPVerdict, vm.Len()),
 	}
-	sys, err := server.NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
+	hops := vm.HopsFromTrusted()
+	for i, p := range vm.Profiles {
+		out.Verdicts[i] = client.VPVerdict{ID: p.ID(), Trusted: p.Trusted, Hops: hops[i]}
 	}
-	srv := httptest.NewServer(server.Handler(sys))
-	t.Cleanup(srv.Close)
-	api, err := client.NewAPI(srv.URL, srv.Client())
-	if err != nil {
-		t.Fatal(err)
+	for _, i := range inSite {
+		out.Verdicts[i].InSite = true
 	}
-	return &onlineHarness{
-		sys: sys, srv: srv, api: api,
-		online: &attack.Online{API: api, Token: attackToken, BatchSize: 32},
+	for _, i := range verdict.Legitimate {
+		out.Verdicts[i].Legitimate = true
 	}
+	sort.Slice(out.Verdicts, func(a, b int) bool {
+		return bytes.Compare(out.Verdicts[a].ID[:], out.Verdicts[b].ID[:]) < 0
+	})
+	return out
 }
 
 func TestOnlineFloodWarmColdEquivalence(t *testing.T) {
@@ -54,17 +58,22 @@ func TestOnlineFloodWarmColdEquivalence(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			warm := reverifyHarness(t, false)
-			cold := reverifyHarness(t, true)
+			bank, err := benchBank()
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := newOnlineHarness(bank, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(warm.Close)
 
 			profiles, site, err := attackArena(120, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, h := range []*onlineHarness{warm, cold} {
-				if _, err := h.online.SeedPopulation(profiles); err != nil {
-					t.Fatal(err)
-				}
+			if _, err := warm.online.SeedPopulation(profiles); err != nil {
+				t.Fatal(err)
 			}
 
 			compare := func(stage string) {
@@ -74,11 +83,7 @@ func TestOnlineFloodWarmColdEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rc, err := cold.api.InvestigateReport(attackToken,
-					site.Min.X, site.Min.Y, site.Max.X, site.Max.Y, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
+				rc := coldOutcome(t, warm.sys, site)
 				if rw.Members != rc.Members || rw.Edges != rc.Edges || rw.InSite != rc.InSite {
 					t.Fatalf("%s: warm viewmap %d/%d/%d diverges from cold %d/%d/%d (members/edges/inSite)",
 						stage, rw.Members, rw.Edges, rw.InSite, rc.Members, rc.Edges, rc.InSite)
@@ -116,10 +121,8 @@ func TestOnlineFloodWarmColdEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, h := range []*onlineHarness{warm, cold} {
-					if _, err := h.online.Inject(camp, honest); err != nil {
-						t.Fatal(err)
-					}
+				if _, err := warm.online.Inject(camp, honest); err != nil {
+					t.Fatal(err)
 				}
 				compare(fmt.Sprintf("flood wave %d", w))
 			}

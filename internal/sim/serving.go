@@ -16,7 +16,7 @@ import (
 // minute's viewmap on ingest), while an authority fires repeated
 // investigations at the warm minutes. The rebuild-per-request baseline
 // — core.Build on every investigation, the pre-incremental behaviour —
-// runs side by side on an identically loaded system for comparison.
+// is computed over the same stored profiles for comparison.
 
 // ServingConfig parameterizes the sustained-ingest serving benchmark.
 type ServingConfig struct {
@@ -81,25 +81,19 @@ type ServingResult struct {
 	Legitimate int
 }
 
-// Serving runs the sustained-ingest serving benchmark: identical
-// upload streams (batched wire uploads plus one trusted VP per minute)
-// are fed to an incremental system and to a rebuild-per-request
-// baseline, then each answers repeated investigations over the warm
-// minutes. Both must report identical viewmap structure; the paths
-// differ only in how much work a warm request repeats.
+// Serving runs the sustained-ingest serving benchmark: an upload
+// stream (batched wire uploads plus one trusted VP per minute) is fed
+// to a system, which then answers repeated investigations over the
+// warm minutes; the rebuild-per-request baseline answers the same
+// requests from the same stored profiles (rebuildVerify). Both must
+// report identical viewmap structure; the paths differ only in how
+// much work a warm request repeats.
 func Serving(cfg ServingConfig) (*ServingResult, error) {
 	cfg = cfg.withDefaults()
 	area := geo.NewRect(geo.Pt(0, 0), geo.Pt(2000, 2000))
 	site := geo.RectAround(area.Center(), 300)
 
 	incremental, err := server.NewSystem(server.Config{AuthorityToken: "bench", BankBits: 1024})
-	if err != nil {
-		return nil, err
-	}
-	baseline, err := server.NewSystem(server.Config{
-		AuthorityToken: "bench", BankBits: 1024,
-		Store: server.StoreConfig{DisableViewmapCache: true},
-	})
 	if err != nil {
 		return nil, err
 	}
@@ -139,60 +133,47 @@ func Serving(cfg ServingConfig) (*ServingResult, error) {
 		}
 		ingestTime += time.Since(start)
 		res.Ingested++ // the trusted VP
-
-		// Mirror the stream into the baseline (untimed; its ingest
-		// does no linking).
-		if err := baseline.UploadTrustedVP("bench", trustedWire); err != nil {
-			return nil, err
-		}
-		for off := 0; off < len(anon); off += cfg.BatchSize {
-			end := min(off+cfg.BatchSize, len(anon))
-			if _, err := baseline.UploadVPBatch(vp.MarshalBatch(anon[off:end])); err != nil {
-				return nil, err
-			}
-		}
 	}
 	res.IngestRate = float64(res.Ingested) / ingestTime.Seconds()
 
-	// Prime both systems (the first investigation of a site extracts
-	// and caches; a warm minute is the steady serving state), checking
-	// that the two paths verify identical structure.
+	// Prime the system (the first investigation of a site extracts and
+	// caches; a warm minute is the steady serving state), checking that
+	// the two paths verify identical structure.
 	for m := 0; m < cfg.Minutes; m++ {
 		ri, err := incremental.Investigate("bench", site, int64(m))
 		if err != nil {
 			return nil, err
 		}
-		rb, err := baseline.Investigate("bench", site, int64(m))
+		vm, verdict, err := rebuildVerify(incremental, site, int64(m))
 		if err != nil {
 			return nil, err
 		}
-		if ri.Members != rb.Members || ri.Edges != rb.Edges || len(ri.Legitimate) != len(rb.Legitimate) {
+		if ri.Members != vm.Len() || ri.Edges != vm.NumEdges() || len(ri.Legitimate) != len(verdict.Legitimate) {
 			return nil, fmt.Errorf("sim: serving paths diverge at minute %d: %d/%d/%d vs %d/%d/%d members/edges/legitimate",
-				m, ri.Members, ri.Edges, len(ri.Legitimate), rb.Members, rb.Edges, len(rb.Legitimate))
+				m, ri.Members, ri.Edges, len(ri.Legitimate), vm.Len(), vm.NumEdges(), len(verdict.Legitimate))
 		}
 		res.Members, res.Legitimate = ri.Members, len(ri.Legitimate)
 	}
 
-	warm := func(sys *server.System) (time.Duration, error) {
-		start := time.Now()
-		for i := 0; i < cfg.WarmRequests; i++ {
-			if _, err := sys.Investigate("bench", site, int64(i%cfg.Minutes)); err != nil {
-				return 0, err
-			}
+	start := time.Now()
+	for i := 0; i < cfg.WarmRequests; i++ {
+		if _, err := incremental.Investigate("bench", site, int64(i%cfg.Minutes)); err != nil {
+			return nil, err
 		}
-		return time.Since(start) / time.Duration(cfg.WarmRequests), nil
 	}
-	if res.WarmLatency, err = warm(incremental); err != nil {
-		return nil, err
+	res.WarmLatency = time.Since(start) / time.Duration(cfg.WarmRequests)
+	start = time.Now()
+	for i := 0; i < cfg.WarmRequests; i++ {
+		if _, _, err := rebuildVerify(incremental, site, int64(i%cfg.Minutes)); err != nil {
+			return nil, err
+		}
 	}
-	if res.RebuildLatency, err = warm(baseline); err != nil {
-		return nil, err
-	}
+	res.RebuildLatency = time.Since(start) / time.Duration(cfg.WarmRequests)
 
 	// Repeated VerifySite on the warm minutes' cached viewmaps, run
 	// in full every iteration (no verdict cache): this isolates what
 	// incremental construction saves a verification-heavy workload.
-	start := time.Now()
+	start = time.Now()
 	for i := 0; i < cfg.WarmRequests; i++ {
 		vm, err := incremental.Store().ViewmapFor(site, int64(i%cfg.Minutes))
 		if err != nil {
@@ -208,6 +189,22 @@ func Serving(cfg ServingConfig) (*ServingResult, error) {
 		res.Speedup = float64(res.RebuildLatency) / float64(res.VerifyLatency)
 	}
 	return res, nil
+}
+
+// rebuildVerify is the rebuild-per-request baseline the serving
+// benchmarks compare against: core.Build over the minute's stored
+// profiles, then a cold TrustRank from the uniform vector — what every
+// investigation cost before link-on-ingest, computed from the same
+// data the system serves.
+func rebuildVerify(sys *server.System, site geo.Rect, minute int64) (*core.Viewmap, *core.Verdict, error) {
+	vm, err := core.Build(sys.Store().Minute(minute), core.BuildConfig{
+		Site: site, Minute: minute, RequirePlausible: true,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	verdict, err := vm.VerifySite(vm.InSite(site), core.TrustRankConfig{})
+	return vm, verdict, err
 }
 
 // Rows renders the result in the bench binary's row format.
