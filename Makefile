@@ -12,6 +12,11 @@ COVER_BASELINE ?= 77.5
 # Per-target budget for the native fuzz targets in the `fuzz` job.
 FUZZTIME ?= 30s
 
+# The evidence cycle's costliest steps: one 2048-bit blind signature,
+# redaction of a 60-frame 160x90 video, and decoding a 1.15 MB
+# delivery body.
+EVIDENCE_BENCH = ^(BenchmarkSignBlinded|BenchmarkRedactChunks|BenchmarkDeliverDecode)$$
+
 .PHONY: build vet test check race bench-smoke bench-micro lint-docs coverage fuzz scenario-smoke scenario-faults slo-check overhead-smoke vmbench-test
 
 build:
@@ -47,9 +52,11 @@ check: build vet test
 # the core equivalence property already ride in the fully raced line
 # above). The fault families add a crash-and-recover reopen racing
 # in-flight uploaders, a partition mask flipped on the serving path,
-# and the retention evictor draining under cold probes.
+# and the retention evictor draining under cold probes. The bank signs
+# while LoadFrom swaps its key, and every signature must come from one
+# whole key.
 race:
-	$(GO) test -race ./internal/core/... ./internal/geo/... ./internal/obs/... ./internal/server/... ./internal/evidence/... ./internal/attack/...
+	$(GO) test -race ./internal/core/... ./internal/geo/... ./internal/obs/... ./internal/server/... ./internal/evidence/... ./internal/attack/... ./internal/reward/...
 	$(GO) test -race -short -run 'TestEvidencePipelineSmall|TestAttackServingCampaigns|TestContinuousSmall|TestSaturationSmall|TestScenarioQuick|TestFaultFamilies|TestOnlineFloodWarmColdEquivalence|TestReverifyBenchmarkSmoke' ./internal/sim/
 
 # Documentation hygiene: formatting, vet, complete doc comments on the
@@ -72,9 +79,12 @@ lint-docs:
 # shot drives the burst pipeline through the real batch endpoint,
 # cross-checks the resulting viewmap against the offline builder, and
 # rewrites BENCH_ingest.json — the committed baseline; diff it against
-# the checkout to see how the current machine compares.
+# the checkout to see how the current machine compares. The evidence
+# micro-benchmarks (blind signing, release redaction, delivery decode)
+# run once each so they keep compiling and running.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x .
+	$(GO) test -run=NONE -bench='$(EVIDENCE_BENCH)' -benchtime=1x ./internal/reward/ ./internal/blur/ ./internal/server/
 	$(GO) run ./cmd/viewmap-bench -run evidence -scale quick
 	$(GO) run ./cmd/viewmap-bench -run attack-serving -scale quick
 	$(GO) run ./cmd/viewmap-bench -run continuous -scale quick
@@ -159,3 +169,4 @@ fuzz:
 bench-micro:
 	$(GO) test -run=NONE -bench='BenchmarkViewmapLink|BenchmarkViewmapBuild|BenchmarkTrustRank' -benchtime=10x ./internal/core/
 	$(GO) test -run=NONE -bench='BenchmarkIndexedLOS' ./internal/geo/
+	$(GO) test -run=NONE -bench='$(EVIDENCE_BENCH)' -benchmem ./internal/reward/ ./internal/blur/ ./internal/server/

@@ -80,100 +80,127 @@ func (p Params) withDefaults() Params {
 }
 
 // Localize finds plate-like regions: bright connected components whose
-// bounding boxes have plate-like area and aspect ratio.
+// bounding boxes have plate-like area and aspect ratio. Regions come
+// out in raster order of each component's first pixel.
 func Localize(img *Gray, p Params) []Region {
-	p = p.withDefaults()
+	var c components
+	return c.localize(img, p.withDefaults())
+}
+
+// components is the scratch state of one connected-component pass,
+// kept so that a video's frames reuse one label buffer.
+type components struct {
+	// labels holds a provisional label for every bright pixel. Entries
+	// of dark pixels are stale and never read: a label is read only
+	// where the pixel to the left or above is bright.
+	labels []int32
+	// parent is the union-find forest over provisional labels. Each
+	// root is its set's smallest label, which is the label of the
+	// component's first pixel in raster order.
+	parent []int32
+	// boxes holds each provisional label's bounding box and area.
+	boxes []box
+}
+
+// box is a bounding box with its pixel count.
+type box struct {
+	minX, minY, maxX, maxY, area int
+}
+
+func (c *components) find(x int32) int32 {
+	for c.parent[x] != x {
+		c.parent[x] = c.parent[c.parent[x]]
+		x = c.parent[x]
+	}
+	return x
+}
+
+// union links two sets under the smaller root.
+func (c *components) union(a, b int32) {
+	ra, rb := c.find(a), c.find(b)
+	switch {
+	case ra < rb:
+		c.parent[rb] = ra
+	case rb < ra:
+		c.parent[ra] = rb
+	}
+}
+
+// localize labels img's bright pixels in one raster pass (union-find,
+// 4-connectivity), then folds each provisional label's box into its
+// root's and returns the plate-like components; p must already carry
+// its defaults.
+func (c *components) localize(img *Gray, p Params) []Region {
 	w := img.Rect.Dx()
 	h := img.Rect.Dy()
 	if w == 0 || h == 0 {
 		return nil
 	}
-	// Union-find over thresholded pixels (two-pass connected
-	// components, 4-connectivity).
-	labels := make([]int32, w*h)
-	for i := range labels {
-		labels[i] = -1
+	if cap(c.labels) < w*h {
+		c.labels = make([]int32, w*h)
 	}
-	parent := make([]int32, 0, 256)
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int32) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
-		}
-	}
-	bright := func(x, y int) bool {
-		return img.GrayAt(img.Rect.Min.X+x, img.Rect.Min.Y+y).Y >= p.Threshold
-	}
+	labels := c.labels[:w*h]
+	c.parent, c.boxes = c.parent[:0], c.boxes[:0]
+	thr := p.Threshold
+	var prev []uint8
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if !bright(x, y) {
+		row := img.Pix[y*img.Stride : y*img.Stride+w]
+		lrow := labels[y*w : (y+1)*w]
+		var lprev []int32
+		if y > 0 {
+			lprev = labels[(y-1)*w : y*w]
+		}
+		for x, v := range row {
+			if v < thr {
 				continue
 			}
-			idx := y*w + x
-			var left, up int32 = -1, -1
-			if x > 0 {
-				left = labels[idx-1]
-			}
-			if y > 0 {
-				up = labels[idx-w]
-			}
+			var l int32
+			left := x > 0 && row[x-1] >= thr
+			up := y > 0 && prev[x] >= thr
 			switch {
-			case left >= 0 && up >= 0:
-				labels[idx] = left
-				union(left, up)
-			case left >= 0:
-				labels[idx] = left
-			case up >= 0:
-				labels[idx] = up
+			case left && up:
+				l = lrow[x-1]
+				c.union(l, lprev[x])
+			case left:
+				l = lrow[x-1]
+			case up:
+				l = lprev[x]
 			default:
-				l := int32(len(parent))
-				parent = append(parent, l)
-				labels[idx] = l
+				l = int32(len(c.parent))
+				c.parent = append(c.parent, l)
+				c.boxes = append(c.boxes, box{minX: x, minY: y, maxX: x, maxY: y})
 			}
-		}
-	}
-	// Aggregate bounding boxes and areas per root label.
-	type box struct {
-		minX, minY, maxX, maxY, area int
-	}
-	boxes := make(map[int32]*box)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			l := labels[y*w+x]
-			if l < 0 {
-				continue
-			}
-			r := find(l)
-			b, ok := boxes[r]
-			if !ok {
-				b = &box{minX: x, minY: y, maxX: x, maxY: y}
-				boxes[r] = b
-			}
+			lrow[x] = l
+			b := &c.boxes[l]
 			if x < b.minX {
 				b.minX = x
 			}
 			if x > b.maxX {
 				b.maxX = x
 			}
-			if y < b.minY {
-				b.minY = y
-			}
-			if y > b.maxY {
-				b.maxY = y
-			}
+			b.maxY = y
 			b.area++
 		}
+		prev = row
+	}
+	// Fold each label's box into its root's.
+	for l := range c.parent {
+		r := c.find(int32(l))
+		if r == int32(l) {
+			continue
+		}
+		b, rb := c.boxes[l], &c.boxes[r]
+		rb.minX = min(rb.minX, b.minX)
+		rb.minY = min(rb.minY, b.minY)
+		rb.maxX = max(rb.maxX, b.maxX)
+		rb.maxY = max(rb.maxY, b.maxY)
+		rb.area += b.area
 	}
 	var out []Region
-	for _, b := range boxes {
+	for l, b := range c.boxes {
+		if c.parent[l] != int32(l) {
+			continue
+		}
 		bw := b.maxX - b.minX + 1
 		bh := b.maxY - b.minY + 1
 		if b.area < p.MinArea || b.area > p.MaxArea {
@@ -209,10 +236,13 @@ func BoxBlur(img *Gray, region image.Rectangle, radius int) {
 	ph := pad.Dy()
 	integral := make([]uint64, (pw+1)*(ph+1))
 	for y := 0; y < ph; y++ {
+		row := img.Pix[img.PixOffset(pad.Min.X, pad.Min.Y+y):][:pw]
+		above := integral[y*(pw+1)+1 : (y+1)*(pw+1)]
+		cur := integral[(y+1)*(pw+1)+1 : (y+2)*(pw+1)]
 		var rowSum uint64
-		for x := 0; x < pw; x++ {
-			rowSum += uint64(img.GrayAt(pad.Min.X+x, pad.Min.Y+y).Y)
-			integral[(y+1)*(pw+1)+(x+1)] = integral[y*(pw+1)+(x+1)] + rowSum
+		for x, v := range row {
+			rowSum += uint64(v)
+			cur[x] = above[x] + rowSum
 		}
 	}
 	sum := func(x0, y0, x1, y1 int) uint64 { // half-open box in pad coords
@@ -229,25 +259,35 @@ func BoxBlur(img *Gray, region image.Rectangle, radius int) {
 		return v
 	}
 	for y := r.Min.Y; y < r.Max.Y; y++ {
-		for x := r.Min.X; x < r.Max.X; x++ {
+		y0 := clamp(y-radius-pad.Min.Y, 0, ph)
+		y1 := clamp(y+radius+1-pad.Min.Y, 0, ph)
+		out := img.Pix[img.PixOffset(r.Min.X, y):][:r.Dx()]
+		for i := range out {
+			x := r.Min.X + i
 			x0 := clamp(x-radius-pad.Min.X, 0, pw)
 			x1 := clamp(x+radius+1-pad.Min.X, 0, pw)
-			y0 := clamp(y-radius-pad.Min.Y, 0, ph)
-			y1 := clamp(y+radius+1-pad.Min.Y, 0, ph)
 			n := uint64((x1 - x0) * (y1 - y0))
 			if n == 0 {
 				continue
 			}
-			img.SetGray(x, y, color.Gray{Y: uint8(sum(x0, y0, x1, y1) / n)})
+			out[i] = uint8(sum(x0, y0, x1, y1) / n)
 		}
 	}
 }
 
 // Process runs the blur stage on a frame in place: localize plates and
-// blur each. It returns the regions that were blurred.
+// blur each, in Localize's raster order, so the output is a function
+// of the input alone even where two regions' blur windows overlap. It
+// returns the regions that were blurred.
 func Process(img *Gray, p Params) []Region {
-	p = p.withDefaults()
-	regions := Localize(img, p)
+	var c components
+	return c.process(img, p.withDefaults())
+}
+
+// process is Process over reusable scratch; p must already carry its
+// defaults.
+func (c *components) process(img *Gray, p Params) []Region {
+	regions := c.localize(img, p)
 	for _, reg := range regions {
 		BoxBlur(img, reg.Rect, p.BlurRadius)
 	}

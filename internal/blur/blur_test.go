@@ -1,6 +1,7 @@
 package blur
 
 import (
+	"bytes"
 	"image"
 	"testing"
 )
@@ -248,5 +249,40 @@ func BenchmarkProcess720p(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(work.Pix, src.Pix)
 		Process(work, Params{})
+	}
+}
+
+// TestProcessDeterministicAdjacentPlates blurs two plates 4 px apart,
+// closer than the blur radius, so each blur window reads pixels the
+// other blur writes. Process must blur them in raster order every
+// time, so one frame always yields the same bytes.
+func TestProcessDeterministicAdjacentPlates(t *testing.T) {
+	src, err := Synthesize(160, 90, nil, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	left, right := image.Rect(20, 30, 70, 46), image.Rect(74, 30, 124, 46)
+	for _, r := range []image.Rectangle{left, right} {
+		for y := r.Min.Y; y < r.Max.Y; y++ {
+			for x := r.Min.X; x < r.Max.X; x++ {
+				src.Pix[src.PixOffset(x, y)] = 235
+			}
+		}
+	}
+	if got := Localize(src, Params{}); len(got) != 2 || got[0].Rect != left || got[1].Rect != right {
+		t.Fatalf("Localize = %v, want [%v %v] in raster order", got, left, right)
+	}
+	want := image.NewGray(src.Rect)
+	copy(want.Pix, src.Pix)
+	for _, r := range []image.Rectangle{left, right} {
+		BoxBlur(want, r, DefaultParams().BlurRadius)
+	}
+	work := image.NewGray(src.Rect)
+	for run := 0; run < 200; run++ {
+		copy(work.Pix, src.Pix)
+		Process(work, Params{})
+		if !bytes.Equal(work.Pix, want.Pix) {
+			t.Fatalf("run %d: Process output differs from raster-order blurring", run)
+		}
 	}
 }

@@ -28,6 +28,8 @@ func RedactChunks(chunks [][]byte, w, h int, p Params) (out [][]byte, frames, re
 	if w <= 0 || h <= 0 {
 		return nil, 0, 0, fmt.Errorf("blur: invalid frame size %dx%d", w, h)
 	}
+	p = p.withDefaults()
+	var scratch components
 	out = make([][]byte, len(chunks))
 	for i, c := range chunks {
 		cp := make([]byte, len(c))
@@ -37,9 +39,8 @@ func RedactChunks(chunks [][]byte, w, h int, p Params) (out [][]byte, frames, re
 			continue
 		}
 		img := &image.Gray{Pix: cp, Stride: w, Rect: image.Rect(0, 0, w, h)}
-		blurred := Process(img, p)
 		frames++
-		regions += len(blurred)
+		regions += len(scratch.process(img, p))
 	}
 	return out, frames, regions, nil
 }

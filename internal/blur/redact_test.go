@@ -2,6 +2,8 @@ package blur
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"image"
 	"testing"
 )
@@ -63,5 +65,45 @@ func TestRedactChunksValidation(t *testing.T) {
 	out, frames, regions, err := RedactChunks(nil, 10, 10, Params{})
 	if err != nil || len(out) != 0 || frames != 0 || regions != 0 {
 		t.Fatalf("empty input: out=%v frames=%d regions=%d err=%v", out, frames, regions, err)
+	}
+}
+
+// cameraVideo renders the 60-frame 160x90 single-plate video shape the
+// evidence flow releases.
+func cameraVideo() [][]byte {
+	cam := &CameraSource{W: 160, H: 90, Plates: []Plate{{Rect: image.Rect(55, 40, 105, 56)}}, Seed: 7}
+	chunks := make([][]byte, 60)
+	for i := range chunks {
+		chunks[i] = cam.SecondChunk(0, i+1)
+	}
+	return chunks
+}
+
+// TestRedactChunksPinnedBytes pins the released bytes of a
+// single-plate video: the digest was taken from the per-pixel
+// GrayAt/map-based localizer this one replaced, so redaction output
+// must not move when the localizer is optimised.
+func TestRedactChunksPinnedBytes(t *testing.T) {
+	out, frames, regions, err := RedactChunks(cameraVideo(), 160, 90, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, c := range out {
+		h.Write(c)
+	}
+	const want = "bb518cada055d4ff9e9e6df251964967c1c88abfc97aa3d98131f99452181ded"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want || frames != 60 || regions != 60 {
+		t.Fatalf("release digest %s over %d frames / %d regions, want %s over 60 / 60", got, frames, regions, want)
+	}
+}
+
+func BenchmarkRedactChunks(b *testing.B) {
+	chunks := cameraVideo()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := RedactChunks(chunks, 160, 90, Params{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

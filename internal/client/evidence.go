@@ -2,7 +2,6 @@ package client
 
 import (
 	"crypto/rsa"
-	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -106,14 +105,10 @@ func (a *API) EvidenceBoard() ([]EvidenceOffer, error) {
 // and returns the payout entitlement in units. The request rides a
 // fresh single-use session id; the server refuses replays.
 func (a *API) DeliverEvidence(id vd.VPID, q vd.Secret, chunks [][]byte) (int, error) {
-	enc := make([]string, len(chunks))
-	for i, c := range chunks {
-		enc[i] = base64.StdEncoding.EncodeToString(c)
-	}
 	reqBody, err := json.Marshal(map[string]interface{}{
 		"id":     hex.EncodeToString(id[:]),
 		"secret": hex.EncodeToString(q[:]),
-		"chunks": enc,
+		"chunks": chunks,
 	})
 	if err != nil {
 		return 0, err
@@ -150,10 +145,11 @@ func (a *API) RedeemPayout(c *reward.Cash) error {
 // ReleasedVideo is the investigator-facing copy of a delivery.
 type ReleasedVideo struct {
 	// Chunks are the redacted per-second bytes.
-	Chunks [][]byte
+	Chunks [][]byte `json:"chunks"`
 	// RedactedFrames and RedactedRegions count the frames processed
 	// and the plate regions blurred.
-	RedactedFrames, RedactedRegions int
+	RedactedFrames  int `json:"redactedFrames"`
+	RedactedRegions int `json:"redactedRegions"`
 }
 
 // FetchEvidence retrieves the blurred release of an accepted
@@ -167,23 +163,11 @@ func (a *API) FetchEvidence(token string, id vd.VPID) (*ReleasedVideo, error) {
 		return nil, apiError(resp)
 	}
 	defer resp.Body.Close()
-	var out struct {
-		Chunks          []string `json:"chunks"`
-		RedactedFrames  int      `json:"redactedFrames"`
-		RedactedRegions int      `json:"redactedRegions"`
-	}
+	var out ReleasedVideo
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, err
 	}
-	rv := &ReleasedVideo{RedactedFrames: out.RedactedFrames, RedactedRegions: out.RedactedRegions}
-	rv.Chunks = make([][]byte, len(out.Chunks))
-	for i, c := range out.Chunks {
-		rv.Chunks[i], err = base64.StdEncoding.DecodeString(c)
-		if err != nil {
-			return nil, fmt.Errorf("client: chunk %d: %w", i, err)
-		}
-	}
-	return rv, nil
+	return &out, nil
 }
 
 // EvidenceStats are the evidence counters of GET /v1/stats.

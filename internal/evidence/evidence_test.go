@@ -1,6 +1,7 @@
 package evidence
 
 import (
+	"bytes"
 	"crypto/rand"
 	"crypto/rsa"
 	"errors"
@@ -68,6 +69,14 @@ type owner struct {
 // camera and returns the resulting VP, secret, and chunks.
 func recordOwner(t testing.TB, minute int64, seed uint64) *owner {
 	t.Helper()
+	cam := &blur.CameraSource{W: 160, H: 90, Seed: seed,
+		Plates: []blur.Plate{{Rect: image.Rect(55, 40, 105, 56)}}}
+	return recordVideo(t, minute, seed, func(s int) []byte { return cam.SecondChunk(minute*60, s) })
+}
+
+// recordVideo records one minute whose second s carries frame(s).
+func recordVideo(t testing.TB, minute int64, seed uint64, frame func(s int) []byte) *owner {
+	t.Helper()
 	q, err := vd.NewSecret()
 	if err != nil {
 		t.Fatal(err)
@@ -77,11 +86,9 @@ func recordOwner(t testing.TB, minute int64, seed uint64) *owner {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cam := &blur.CameraSource{W: 160, H: 90, Seed: seed,
-		Plates: []blur.Plate{{Rect: image.Rect(55, 40, 105, 56)}}}
 	chunks := make([][]byte, 0, 60)
 	for s := 1; s <= 60; s++ {
-		chunk := cam.SecondChunk(minute*60, s)
+		chunk := frame(s)
 		if _, err := b.RecordSecond(geo.Pt(float64(s)*10, float64(seed%7)), chunk); err != nil {
 			t.Fatal(err)
 		}
@@ -443,5 +450,50 @@ func TestStatsString(t *testing.T) {
 	st := Stats{OpenSolicitations: 1}
 	if fmt.Sprintf("%+v", st) == "" {
 		t.Fatal("unprintable stats")
+	}
+}
+
+// TestReleaseDeterministic releases a video whose frames carry two
+// plates 4 px apart, closer than the blur radius, so the order the
+// plates are blurred in shows in the output: two releases of one
+// delivery must be byte-equal.
+func TestReleaseDeterministic(t *testing.T) {
+	svc, src := newTestService(t)
+	own := recordVideo(t, 0, 5, func(s int) []byte {
+		img, err := blur.Synthesize(160, 90, nil, uint64(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []image.Rectangle{image.Rect(20, 30, 70, 46), image.Rect(74, 30, 124, 46)} {
+			for y := r.Min.Y; y < r.Max.Y; y++ {
+				for x := r.Min.X; x < r.Max.X; x++ {
+					img.Pix[img.PixOffset(x, y)] = 235
+				}
+			}
+		}
+		return img.Pix
+	})
+	src.put(own.p)
+	if _, err := svc.Open(geo.NewRect(geo.Pt(0, -50), geo.Pt(700, 50)), 0, []vd.VPID{own.p.ID()}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Deliver(session(t, anon.NewSessions()), own.p.ID(), own.q, own.chunks); err != nil {
+		t.Fatal(err)
+	}
+	first, _, regions, err := svc.Release(own.p.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regions != 120 {
+		t.Fatalf("release blurred %d regions, want 2 per frame", regions)
+	}
+	second, _, _, err := svc.Release(own.p.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range first {
+		if !bytes.Equal(first[i], second[i]) {
+			t.Fatalf("chunk %d differs between two releases", i)
+		}
 	}
 }

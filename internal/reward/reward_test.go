@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/rand"
 	"crypto/rsa"
+	"errors"
 	"math/big"
+	mrand "math/rand"
 	"sync"
 	"testing"
 )
@@ -273,5 +275,188 @@ func TestBankLoadRejectsGarbage(t *testing.T) {
 	// A failed load must not clobber the live bank.
 	if _, err := Withdraw(bank, 1, rand.Reader); err != nil {
 		t.Fatalf("bank unusable after rejected load: %v", err)
+	}
+}
+
+// bigKey caches one 2048-bit key for the CRT tests and the signing
+// benchmark.
+var (
+	bigKeyOnce sync.Once
+	bigKey     *rsa.PrivateKey
+)
+
+func testBigKey(t testing.TB) *rsa.PrivateKey {
+	t.Helper()
+	bigKeyOnce.Do(func() {
+		k, err := rsa.GenerateKey(rand.Reader, 2048)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bigKey = k
+	})
+	return bigKey
+}
+
+// reloaded returns a fresh bank restored from bank's serialization.
+func reloaded(t *testing.T, bank *Bank) *Bank {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := bank.SaveTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := testBank(t)
+	if err := out.LoadFrom(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestSignBlindedMatchesExp(t *testing.T) {
+	// Deprecated, but x509.ParsePKCS1PrivateKey still accepts the
+	// multi-prime keys it makes, so the bank must still sign with them.
+	multi, err := rsa.GenerateMultiPrimeKey(rand.Reader, 3, 1536)
+	if err != nil {
+		t.Fatal(err)
+	}
+	banks := map[string]*Bank{
+		"2-prime 1024": testBank(t),
+		"2-prime 2048": NewBankFromKey(testBigKey(t)),
+		"3-prime 1536": NewBankFromKey(multi),
+	}
+	banks["2-prime 2048 via LoadFrom"] = reloaded(t, banks["2-prime 2048"])
+	banks["3-prime 1536 via LoadFrom"] = reloaded(t, banks["3-prime 1536"])
+	for name, bank := range banks {
+		t.Run(name, func(t *testing.T) {
+			s := bank.current()
+			n := s.key.N
+			values := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Sub(n, big.NewInt(1))}
+			seeded := mrand.New(mrand.NewSource(1))
+			for i := 0; i < 100; i++ {
+				v, err := rand.Int(seeded, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				values = append(values, v)
+			}
+			for _, v := range values {
+				got, err := bank.SignBlinded(v)
+				if err != nil {
+					t.Fatalf("SignBlinded(%v): %v", v, err)
+				}
+				if want := new(big.Int).Exp(v, s.key.D, n); got.Cmp(want) != 0 {
+					t.Fatalf("SignBlinded(%v) = %v, want %v", v, got, want)
+				}
+			}
+		})
+	}
+}
+
+func TestSignBlindedFaultWithheld(t *testing.T) {
+	x, err := rand.Int(rand.Reader, testBank(t).PublicKey().N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := big.NewInt(1)
+	corruptions := map[string]func(f []crtFactor){
+		"exponent of p_0": func(f []crtFactor) { f[0].exp = new(big.Int).Add(f[0].exp, one) },
+		"exponent of p_1": func(f []crtFactor) { f[1].exp = new(big.Int).Add(f[1].exp, one) },
+		"coefficient":     func(f []crtFactor) { f[1].coeff = new(big.Int).Add(f[1].coeff, one) },
+	}
+	for name, corrupt := range corruptions {
+		bank := testBank(t)
+		factors := append([]crtFactor(nil), bank.current().crt()...)
+		corrupt(factors)
+		bad := newSigner(bank.current().key)
+		bad.once.Do(func() { bad.factors = factors })
+		bank.signer = bad
+		if sig, err := bank.SignBlinded(x); !errors.Is(err, ErrSignatureFault) || sig != nil {
+			t.Errorf("%s corrupted: SignBlinded = %v, %v; want nil, ErrSignatureFault", name, sig, err)
+		}
+	}
+
+	// A key whose prime list disagrees with its modulus derives CRT
+	// values without complaint; the self-check still catches them.
+	wrongPrime := *testBank(t).current().key
+	wrongPrime.Primes = []*big.Int{new(big.Int).Add(wrongPrime.Primes[0], big.NewInt(2)), wrongPrime.Primes[1]}
+	if sig, err := NewBankFromKey(&wrongPrime).SignBlinded(x); !errors.Is(err, ErrSignatureFault) || sig != nil {
+		t.Errorf("wrong prime: SignBlinded = %v, %v; want nil, ErrSignatureFault", sig, err)
+	}
+	noPrimes := *testBank(t).current().key
+	noPrimes.Primes = nil
+	if sig, err := NewBankFromKey(&noPrimes).SignBlinded(x); err == nil || sig != nil {
+		t.Errorf("key without primes: SignBlinded = %v, %v; want an error", sig, err)
+	}
+}
+
+// TestSignBlindedDuringKeySwap signs while LoadFrom swaps the bank
+// between two keys: every signature must belong to one of them, never
+// mix one key's CRT values with the other's modulus.
+func TestSignBlindedDuringKeySwap(t *testing.T) {
+	keyA := testBank(t).current().key
+	keyB, err := rsa.GenerateKey(rand.Reader, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved [2][]byte
+	for i, k := range []*rsa.PrivateKey{keyA, keyB} {
+		var buf bytes.Buffer
+		if err := NewBankFromKey(k).SaveTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		saved[i] = buf.Bytes()
+	}
+	// x lies below both moduli, so either key may sign it.
+	x := new(big.Int).Rsh(keyA.N, 2)
+	bank := NewBankFromKey(keyA)
+	verifies := func(sig *big.Int) bool {
+		for _, k := range []*rsa.PrivateKey{keyA, keyB} {
+			if new(big.Int).Exp(sig, big.NewInt(int64(k.E)), k.N).Cmp(x) == 0 {
+				return true
+			}
+		}
+		return false
+	}
+	const swaps, signers, signs = 200, 2, 100
+	var wg sync.WaitGroup
+	wg.Add(1 + signers)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < swaps; i++ {
+			if err := bank.LoadFrom(bytes.NewReader(saved[i%2])); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for g := 0; g < signers; g++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < signs; i++ {
+				sig, err := bank.SignBlinded(x)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !verifies(sig) {
+					t.Error("signature verifies under neither key")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func BenchmarkSignBlinded(b *testing.B) {
+	bank := NewBankFromKey(testBigKey(b))
+	x, err := rand.Int(rand.Reader, bank.PublicKey().N)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bank.SignBlinded(x); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
@@ -389,11 +390,7 @@ func Handler(sys *System) http.Handler {
 		}
 		chunks := make([][]byte, len(req.Chunks))
 		for i, c := range req.Chunks {
-			chunks[i], err = base64.StdEncoding.DecodeString(c)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("chunk %d: %w", i, err))
-				return
-			}
+			chunks[i] = c
 		}
 		units, err := sys.Evidence().Deliver(r.Header.Get(sessionHeader), id, q, chunks)
 		if err != nil {
@@ -466,15 +463,7 @@ func Handler(sys *System) http.Handler {
 			httpError(w, statusFor(err), err)
 			return
 		}
-		out := videoResponse{
-			Chunks:          make([]string, len(chunks)),
-			RedactedFrames:  frames,
-			RedactedRegions: regions,
-		}
-		for i, c := range chunks {
-			out.Chunks[i] = base64.StdEncoding.EncodeToString(c)
-		}
-		writeJSON(w, out)
+		writeJSON(w, videoResponse{Chunks: chunks, RedactedFrames: frames, RedactedRegions: regions})
 	})
 
 	handle("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -818,9 +807,42 @@ type offersResponse struct {
 }
 
 type deliverRequest struct {
-	ID     string   `json:"id"`
-	Secret string   `json:"secret"`
-	Chunks []string `json:"chunks"`
+	ID     string      `json:"id"`
+	Secret string      `json:"secret"`
+	Chunks []chunkJSON `json:"chunks"`
+}
+
+// chunkJSON is one video chunk on the wire: a standard-base64 JSON
+// string. Unlike a plain []byte field, it refuses JSON arrays, so
+// [[1,2,3]] stays a 400 as it is for any other non-string chunk.
+type chunkJSON []byte
+
+// UnmarshalJSON decodes an escape-free literal straight from the body
+// bytes; a literal with an escape is unquoted first. null is an empty
+// chunk.
+func (c *chunkJSON) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		*c = chunkJSON{}
+		return nil
+	}
+	if len(data) < 2 || data[0] != '"' {
+		return errors.New("server: chunk is not a base64 string")
+	}
+	lit := data[1 : len(data)-1]
+	if bytes.IndexByte(lit, '\\') >= 0 {
+		var s string
+		if err := json.Unmarshal(data, &s); err != nil {
+			return err
+		}
+		lit = []byte(s)
+	}
+	out := make([]byte, base64.StdEncoding.DecodedLen(len(lit)))
+	n, err := base64.StdEncoding.Decode(out, lit)
+	if err != nil {
+		return fmt.Errorf("server: chunk: %w", err)
+	}
+	*c = out[:n]
+	return nil
 }
 
 type deliverResponse struct {
@@ -828,7 +850,9 @@ type deliverResponse struct {
 }
 
 type videoResponse struct {
-	Chunks          []string `json:"chunks"`
+	// Chunks encode as standard-base64 strings; RedactChunks never
+	// returns a nil chunk, which would encode as null.
+	Chunks          [][]byte `json:"chunks"`
 	RedactedFrames  int      `json:"redactedFrames"`
 	RedactedRegions int      `json:"redactedRegions"`
 }
@@ -890,6 +914,8 @@ func statusFor(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, reward.ErrBadSignature):
 		return http.StatusBadRequest
+	case errors.Is(err, reward.ErrSignatureFault):
+		return http.StatusInternalServerError
 	case errors.Is(err, ErrUnauthorized):
 		return http.StatusUnauthorized
 	case errors.Is(err, ErrDurability):

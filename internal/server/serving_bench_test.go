@@ -1,7 +1,12 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"math/rand"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"viewmap/internal/core"
@@ -142,5 +147,32 @@ func BenchmarkSegmentReload(b *testing.B) {
 			}
 			b.ReportMetric(float64(edges)/float64(n), "links/VP")
 		})
+	}
+}
+
+// BenchmarkDeliverDecode decodes one evidence delivery body: 60
+// 160x90 luminance frames, 1.15 MB of JSON once base64-encoded — the
+// shape of a solicited minute in the evidence workload.
+func BenchmarkDeliverDecode(b *testing.B) {
+	chunks := make([][]byte, 60)
+	rng := rand.New(rand.NewSource(1))
+	for i := range chunks {
+		chunks[i] = make([]byte, 160*90)
+		rng.Read(chunks[i])
+	}
+	body, err := json.Marshal(map[string]any{"id": strings.Repeat("ab", 32), "secret": strings.Repeat("cd", 32), "chunks": chunks})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var req deliverRequest
+		if err := decodeJSON(httptest.NewRequest("POST", "/v1/evidence/deliver", bytes.NewReader(body)), &req); err != nil {
+			b.Fatal(err)
+		}
+		if len(req.Chunks) != len(chunks) {
+			b.Fatalf("decoded %d chunks, want %d", len(req.Chunks), len(chunks))
+		}
 	}
 }
