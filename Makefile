@@ -30,7 +30,8 @@ test:
 
 check: build vet test
 
-# The viewmap linker tests candidate pairs across a worker pool, the
+# The verification sweeps build viewmaps from several goroutines over
+# shared profiles (whose Bloom digest caches fill lazily), the
 # LOS index builds its grid lazily under concurrent queries, the
 # server's sharded store takes concurrent ingest against concurrent
 # investigations, and the evidence board takes concurrent deliveries
@@ -81,9 +82,11 @@ lint-docs:
 # rewrites BENCH_ingest.json — the committed baseline; diff it against
 # the checkout to see how the current machine compares. The evidence
 # micro-benchmarks (blind signing, release redaction, delivery decode)
-# run once each so they keep compiling and running.
+# run once each so they keep compiling and running, and so do the
+# linker and TrustRank micro-benchmarks in internal/core.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x .
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/core/
 	$(GO) test -run=NONE -bench='$(EVIDENCE_BENCH)' -benchtime=1x ./internal/reward/ ./internal/blur/ ./internal/server/
 	$(GO) run ./cmd/viewmap-bench -run evidence -scale quick
 	$(GO) run ./cmd/viewmap-bench -run attack-serving -scale quick
@@ -167,6 +170,6 @@ fuzz:
 
 # Hot-path micro-benchmarks with allocation reporting.
 bench-micro:
-	$(GO) test -run=NONE -bench='BenchmarkViewmapLink|BenchmarkViewmapBuild|BenchmarkTrustRank' -benchtime=10x ./internal/core/
+	$(GO) test -run=NONE -bench='BenchmarkViewmapBuild|BenchmarkTrustRank' -benchtime=10x ./internal/core/
 	$(GO) test -run=NONE -bench='BenchmarkIndexedLOS' ./internal/geo/
 	$(GO) test -run=NONE -bench='$(EVIDENCE_BENCH)' -benchmem ./internal/reward/ ./internal/blur/ ./internal/server/

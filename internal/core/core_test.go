@@ -443,22 +443,6 @@ func TestLemma1Bound(t *testing.T) {
 	}
 }
 
-func BenchmarkBuildViewmap200(b *testing.B) {
-	area := geo.NewRect(geo.Pt(0, 0), geo.Pt(2000, 2000))
-	profiles, err := SynthesizeLegitimate(SynthConfig{N: 200, Area: area, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	MarkTrustedNearest(profiles, geo.Pt(1000, 1000))
-	cfg := BuildConfig{Site: geo.RectAround(geo.Pt(1000, 1000), 200), Minute: 0}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(profiles, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkTrustRank200(b *testing.B) {
 	area := geo.NewRect(geo.Pt(0, 0), geo.Pt(2000, 2000))
 	profiles, err := SynthesizeLegitimate(SynthConfig{N: 200, Area: area, Seed: 3})

@@ -11,18 +11,16 @@ import (
 	"viewmap/internal/vp"
 )
 
-// This file moves viewmap construction online. Build (viewmap.go) is
-// the batch formulation: given every profile of a minute, link all
-// pairs at once. The system service, however, absorbs a continuous
-// stream of anonymous VP uploads and must answer investigations at any
-// point in between; rebuilding the whole minute per request repeats
-// the full pairwise linkage work the PR-1 linker already spent. The
-// IncrementalBuilder maintains the minute's full visibility graph as
-// profiles arrive — each new VP is tested only against its candidate
-// neighbors, discovered through the same dense CellGrid the batch
-// linker uses — so an investigation reduces to extracting the induced
-// subgraph over the coverage members, which is O(members + edges)
-// instead of O(candidate pairs x Bloom probes).
+// This file is the repository's one visibility-graph linker. The
+// IncrementalBuilder maintains a minute's full visibility graph as
+// profiles arrive: each new VP is tested only against its candidate
+// neighbors, found through a dense geo.CellGrid over trajectory
+// bounding boxes, so the system service's continuous upload stream
+// never pays for a from-scratch rebuild, and an investigation reduces
+// to extracting the induced subgraph over the coverage members, which
+// is O(members + edges) instead of O(candidate pairs x Bloom probes).
+// Build (viewmap.go) links its coverage members through the same
+// builder; linkNaive is the reference both are held to.
 //
 // Ingest is split into two phases so the server's burst pipeline can
 // keep the expensive half outside its shard lock:
@@ -148,11 +146,11 @@ type stagedProfile struct {
 // ("link-on-ingest"), so the minute's visibility graph is always
 // current and investigations never pay for a from-scratch rebuild.
 //
-// Candidates are enumerated from the same dense geo.CellGrid the batch
-// linker uses, over trajectory bounding boxes. The grid is immutable,
-// so it is rebuilt with amortized O(1) cost per ingest: profiles added
-// since the last rebuild are scanned linearly, and once that ungridded
-// tail outgrows the gridded prefix the grid is rebuilt over everything.
+// Candidates are enumerated from a dense geo.CellGrid over trajectory
+// bounding boxes. The grid is immutable, so it is rebuilt with
+// amortized O(1) cost per ingest: profiles added since the last
+// rebuild are scanned linearly, and once that ungridded tail outgrows
+// the gridded prefix the grid is rebuilt over everything.
 //
 // The zero value is not usable; construct with NewIncrementalBuilder.
 // An IncrementalBuilder is NOT safe for unmediated concurrent use.
@@ -438,10 +436,9 @@ func (b *IncrementalBuilder) AddBatch(ps []*vp.Profile) (added int, err error) {
 // derived digest caches (vp.MutualFilters): honest pairs resolve on
 // first/last digests alone, so most profiles never pay the 60-digest
 // SHA-256 derivation that used to dominate link-on-ingest. The
-// same-minute and distinct-identifier guards of the standalone
-// vp.MutualNeighborsLazy are already established here: Stage admits
-// only the builder's minute and rejects duplicate identifiers before
-// linking.
+// same-minute and distinct-identifier guards of vp.MutualNeighbors are
+// already established here: Stage admits only the builder's minute and
+// rejects duplicate identifiers before linking.
 func (b *IncrementalBuilder) linkCandidates(p *vp.Profile, box geo.Rect, wb *[linkWindows]wbox, limit int) []int {
 	var out []int
 	rangeM := b.cfg.DSRCRange
@@ -483,8 +480,26 @@ func (b *IncrementalBuilder) linkCandidates(p *vp.Profile, box geo.Rect, wb *[li
 	return out
 }
 
+// boxDist2 returns the squared distance between two axis-aligned boxes
+// (zero when they overlap) — a lower bound on any pair of contained
+// points, used to prune candidates before the per-window scan.
+func boxDist2(a, b geo.Rect) float64 {
+	var dx, dy float64
+	if d := b.Min.X - a.Max.X; d > 0 {
+		dx = d
+	} else if d := a.Min.X - b.Max.X; d > 0 {
+		dx = d
+	}
+	if d := b.Min.Y - a.Max.Y; d > 0 {
+		dy = d
+	} else if d := a.Min.Y - b.Max.Y; d > 0 {
+		dy = d
+	}
+	return dx*dx + dy*dy
+}
+
 // sampleNear reports whether p and candidate q come within DSRC range
-// at any shared second — exactly MutualNeighborsLazy's proximity loop,
+// at any shared second — exactly vp.MutualNeighbors' proximity loop,
 // evaluated window-first: a window's samples are scanned only when the
 // two window boxes are themselves within range, so far-but-box-adjacent
 // candidates resolve on at most linkWindows contiguous box distances.
@@ -525,8 +540,8 @@ func (b *IncrementalBuilder) maybeRebuildGrid() {
 // range), admit the members whose trajectories enter the coverage, and
 // take the induced subgraph over them. Because the two-way linkage
 // test is pairwise and independent of coverage, the result's edge set
-// is identical to core.Build over the same profiles — the equivalence
-// property test in incremental_test.go holds the two together.
+// is identical to core.Build over the same profiles — the property
+// suite in viewmap_equiv_test.go holds both to linkNaive.
 //
 // The returned viewmap shares the member Profile pointers with the
 // builder but owns its adjacency; it remains valid and immutable after
@@ -582,7 +597,7 @@ func (b *IncrementalBuilder) ViewmapFor(site geo.Rect, margin float64) (*Viewmap
 // nearest the site center, -1 when the minute holds no trusted VP.
 // Scanning trusted nodes in insertion order with a strict less keeps
 // tie-breaking identical to Build's scan, so every extraction path
-// (batch Build, ViewmapFor, SiteView) selects the same anchor.
+// (Build, ViewmapFor, SiteView) selects the same anchor.
 func (b *IncrementalBuilder) nearestTrustedTo(siteCenter geo.Point) int {
 	bestDist := -1.0
 	nearestTrusted := -1

@@ -9,136 +9,9 @@ import (
 	"viewmap/internal/vp"
 )
 
-// TestIncrementalEquivalenceProperty is the acceptance property of the
-// online construction path: for arbitrary interleavings of single and
-// batch ingest over a randomized arena, the incremental viewmap for a
-// site must have an edge set identical — node for node — to a one-shot
-// core.Build over the same profiles in the same order. Arenas include
-// the stress shapes of the batch-linker property test: co-located
-// stacked clusters and Bloom false-positive-heavy filters.
-func TestIncrementalEquivalenceProperty(t *testing.T) {
-	if testing.Short() {
-		t.Skip("equivalence sweep is not short")
-	}
-	for si, sc := range equivScenarios() {
-		sc := sc
-		t.Run(fmt.Sprintf("seed=%d/n=%d/fp=%v", si, sc.n, sc.fpHeavy), func(t *testing.T) {
-			t.Parallel()
-			profiles, area, rng := sc.arena(t, si)
-
-			// Arbitrary interleaving: a random permutation of the
-			// profiles, ingested through a random mix of Add and
-			// AddBatch calls with random batch sizes.
-			perm := make([]*vp.Profile, len(profiles))
-			for i, j := range rng.Perm(len(profiles)) {
-				perm[i] = profiles[j]
-			}
-			b := NewIncrementalBuilder(IncrementalConfig{Minute: 0, DSRCRange: sc.rangeM})
-			for off := 0; off < len(perm); {
-				if rng.Intn(2) == 0 {
-					if _, err := b.Add(perm[off]); err != nil {
-						t.Fatal(err)
-					}
-					off++
-					continue
-				}
-				size := 1 + rng.Intn(17)
-				if off+size > len(perm) {
-					size = len(perm) - off
-				}
-				if _, err := b.AddBatch(perm[off : off+size]); err != nil {
-					t.Fatal(err)
-				}
-				off += size
-			}
-			if b.Len() != len(perm) {
-				t.Fatalf("builder holds %d profiles, ingested %d", b.Len(), len(perm))
-			}
-
-			site := geo.RectAround(area.Center(), 200)
-			inc, err := b.ViewmapFor(site, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch, err := Build(perm, BuildConfig{Site: site, Minute: 0, DSRCRange: sc.rangeM})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if inc.Len() != batch.Len() {
-				t.Fatalf("incremental admits %d members, batch %d", inc.Len(), batch.Len())
-			}
-			for i := range batch.Profiles {
-				if inc.Profiles[i] != batch.Profiles[i] {
-					t.Fatalf("member order diverges at node %d", i)
-				}
-			}
-			adjEqual(t, "incremental vs batch", inc.Adj, batch.Adj)
-			if fmt.Sprint(inc.Trusted) != fmt.Sprint(batch.Trusted) {
-				t.Fatalf("trusted sets diverge: %v vs %v", inc.Trusted, batch.Trusted)
-			}
-			if inc.Coverage != batch.Coverage {
-				t.Fatalf("coverage diverges: %+v vs %+v", inc.Coverage, batch.Coverage)
-			}
-		})
-	}
-}
-
-// equivScenario is one randomized arena of the incremental equivalence
-// property: n synthesized profiles on a side×side square linked at
-// rangeM, plus a co-located stacked cluster and Bloom false-positive
-// pollution when set.
-type equivScenario struct {
-	n       int
-	side    float64
-	rangeM  float64
-	cluster int
-	fpHeavy bool
-}
-
-// equivScenarios lists the property's fourteen arenas.
-func equivScenarios() []equivScenario {
-	var scenarios []equivScenario
-	for seed := 0; seed < 14; seed++ {
-		scenarios = append(scenarios, equivScenario{
-			n:       30 + (seed*41)%220,
-			side:    1200 + float64(seed%5)*800,
-			rangeM:  150 + float64(seed%4)*125,
-			cluster: (seed % 3) * 12,
-			fpHeavy: seed%2 == 1,
-		})
-	}
-	return scenarios
-}
-
-// arena synthesizes scenario si's minute-0 profiles, with the trusted
-// VP nearest the centre marked, and returns them with the area and the
-// scenario's random source for the caller's further draws.
-func (sc equivScenario) arena(t *testing.T, si int) ([]*vp.Profile, geo.Rect, *rand.Rand) {
-	t.Helper()
-	seed := int64(4000 + si)
-	rng := rand.New(rand.NewSource(seed))
-	area := geo.NewRect(geo.Pt(0, 0), geo.Pt(sc.side, sc.side))
-	profiles, err := SynthesizeLegitimate(SynthConfig{
-		N: sc.n, Area: area, Seed: seed, DSRCRange: sc.rangeM,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.cluster > 0 {
-		profiles = append(profiles, stackedCluster(t, area.Center(), sc.cluster, 0, rng)...)
-	}
-	if sc.fpHeavy {
-		for _, p := range profiles {
-			pollute(p, 1500, rng)
-		}
-	}
-	MarkTrustedNearest(profiles, area.Center())
-	return profiles, area, rng
-}
-
 // TestStageLinkedRestoresAddedGraph is the restore half of the
-// evict-then-reload invariant. Over every arena of the equivalence
-// property, with implausible and duplicate profiles mixed into the
+// evict-then-reload invariant. Over every restore arena of the linker
+// property suite, with implausible and duplicate profiles mixed into the
 // stream, a builder restored through StageLinked from another's
 // LowerLinks must equal the builder that Add built — profile order,
 // adjacency, trusted set, epoch, edge count, candidate boxes and the
@@ -148,8 +21,7 @@ func TestStageLinkedRestoresAddedGraph(t *testing.T) {
 	if testing.Short() {
 		t.Skip("restore sweep is not short")
 	}
-	for si, sc := range equivScenarios() {
-		sc := sc
+	for si, sc := range restoreScenarios() {
 		t.Run(fmt.Sprintf("seed=%d/n=%d/fp=%v", si, sc.n, sc.fpHeavy), func(t *testing.T) {
 			t.Parallel()
 			profiles, area, rng := sc.arena(t, si)

@@ -17,10 +17,8 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"viewmap/internal/geo"
 	"viewmap/internal/vd"
@@ -165,14 +163,24 @@ func Build(profiles []*vp.Profile, cfg BuildConfig) (*Viewmap, error) {
 		vm.index[id] = len(vm.Profiles)
 		vm.Profiles = append(vm.Profiles, p)
 	}
-	vm.Adj = make([][]int, len(vm.Profiles))
 	for i, p := range vm.Profiles {
 		if p.Trusted {
 			vm.Trusted = append(vm.Trusted, i)
 		}
 	}
 
-	vm.link(cfg.DSRCRange)
+	// Link the members with the one linker (incremental.go): stage them
+	// in member order, commit once, and take the builder's adjacency.
+	// Every member is of cfg.Minute with a distinct identifier, so every
+	// one stages.
+	b := NewIncrementalBuilder(IncrementalConfig{Minute: cfg.Minute, DSRCRange: cfg.DSRCRange})
+	for _, p := range vm.Profiles {
+		if _, err := b.Stage(p); err != nil {
+			return nil, err
+		}
+	}
+	b.CommitStaged()
+	vm.Adj = b.adj
 	vm.ensureCSR()
 	return vm, nil
 }
@@ -193,157 +201,10 @@ func expand(r geo.Rect, p geo.Point) geo.Rect {
 	return r
 }
 
-// serialLinkThreshold is the member count below which candidate-pair
-// testing runs on the calling goroutine; tiny viewmaps don't repay
-// worker startup.
-const serialLinkThreshold = 64
-
-// boxDist2 returns the squared distance between two axis-aligned boxes
-// (zero when they overlap) — a lower bound on any pair of contained
-// points, used to prune candidates before the per-second scan.
-func boxDist2(a, b geo.Rect) float64 {
-	var dx, dy float64
-	if d := b.Min.X - a.Max.X; d > 0 {
-		dx = d
-	} else if d := a.Min.X - b.Max.X; d > 0 {
-		dx = d
-	}
-	if d := b.Min.Y - a.Max.Y; d > 0 {
-		dy = d
-	} else if d := a.Min.Y - b.Max.Y; d > 0 {
-		dy = d
-	}
-	return dx*dx + dy*dy
-}
-
-// linkState carries the shared read-only inputs of one link run. The
-// grid holds each profile's *home* cells only (the cells its
-// trajectory bounding box overlaps); range inflation happens on the
-// query side, where an anchor scans the cells its box inflated by the
-// DSRC range overlaps.
-type linkState struct {
-	profiles []*vp.Profile
-	boxes    []geo.Rect
-	grid     *geo.CellGrid
-	rangeM   float64
-}
-
-// anchorEdges appends to out the neighbors b > a that pass the two-way
-// linkage test, deduplicating grid candidates with the epoch-stamped
-// visited array (stamp a+1: unique per anchor, so the array is never
-// cleared between anchors).
-func (ls *linkState) anchorEdges(a int, visited []int32, out []int32) []int32 {
-	stamp := int32(a + 1)
-	range2 := ls.rangeM * ls.rangeM
-	pa, ba := ls.profiles[a], ls.boxes[a]
-	cx0, cx1, cy0, cy1 := ls.grid.Span(ba, ls.rangeM)
-	for cy := cy0; cy <= cy1; cy++ {
-		for cx := cx0; cx <= cx1; cx++ {
-			for _, b32 := range ls.grid.ItemsIn(cx, cy) {
-				b := int(b32)
-				if b <= a || visited[b] == stamp {
-					continue
-				}
-				visited[b] = stamp
-				if boxDist2(ba, ls.boxes[b]) > range2 {
-					continue
-				}
-				if vp.MutualNeighborsLazy(pa, ls.profiles[b], ls.rangeM) {
-					out = append(out, b32)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// link creates viewlinks between all two-way-validated pairs. It is the
-// repo's hottest path (the Fig. 12/13/22 sweeps rebuild viewmaps
-// thousands of times), so everything per-pair is flat: a dense CSR cell
-// grid over trajectory bounding boxes enumerates candidates, an
-// epoch-stamped visited array replaces the pair-dedup hash set, Bloom
-// digests derive lazily per member (first/last fast path, interior on
-// demand — see vp.MutualNeighborsLazy), and anchors are tested in
-// parallel across a worker pool. Each unordered pair is discovered
-// exactly once (by its lower-id anchor), so the per-anchor edge lists —
-// and therefore the final adjacency — are identical to the retained
-// linkNaive reference regardless of worker interleaving.
-func (vm *Viewmap) link(rangeM float64) {
-	n := len(vm.Profiles)
-	if n < 2 {
-		return
-	}
-	ls := &linkState{
-		profiles: vm.Profiles,
-		boxes:    make([]geo.Rect, n),
-		rangeM:   rangeM,
-	}
-	if ls.rangeM <= 0 {
-		ls.rangeM = DefaultDSRCRange
-	}
-	for i, p := range vm.Profiles {
-		b := geo.Rect{Min: p.VDs[0].L, Max: p.VDs[0].L}
-		for j := range p.VDs {
-			b = expand(b, p.VDs[j].L)
-		}
-		ls.boxes[i] = b
-	}
-	ls.grid = geo.NewCellGrid(ls.boxes, ls.rangeM, geo.DefaultMaxGridCells)
-
-	// edgesFrom[a] holds a's neighbors b > a; each slot is written by
-	// exactly one worker, so the merge needs no locks and is
-	// deterministic.
-	edgesFrom := make([][]int32, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n/serialLinkThreshold {
-		workers = n / serialLinkThreshold
-	}
-	if workers <= 1 {
-		visited := make([]int32, n)
-		for a := 0; a < n; a++ {
-			if out := ls.anchorEdges(a, visited, nil); len(out) > 0 {
-				edgesFrom[a] = out
-			}
-		}
-	} else {
-		const block = 32 // anchors claimed per grab
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				visited := make([]int32, n)
-				for {
-					lo := int(cursor.Add(block)) - block
-					if lo >= n {
-						return
-					}
-					hi := min(lo+block, n)
-					for a := lo; a < hi; a++ {
-						if out := ls.anchorEdges(a, visited, nil); len(out) > 0 {
-							edgesFrom[a] = out
-						}
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for a, nbrs := range edgesFrom {
-		for _, b := range nbrs {
-			vm.Adj[a] = append(vm.Adj[a], int(b))
-			vm.Adj[b] = append(vm.Adj[b], a)
-		}
-	}
-	for i := range vm.Adj {
-		sort.Ints(vm.Adj[i])
-	}
-}
-
 // linkNaive is the O(n²) reference linker: the executable specification
-// of Section 5.2.1's two-way linkage test. The optimized link must
-// produce exactly this adjacency; the equivalence property test in
+// of Section 5.2.1's two-way linkage test. The one linker
+// (IncrementalBuilder, behind Build and the server's burst pipeline)
+// must produce exactly this adjacency; the property suite in
 // viewmap_equiv_test.go holds the two together across randomized
 // arenas.
 func (vm *Viewmap) linkNaive(rangeM float64) {

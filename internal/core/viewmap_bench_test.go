@@ -7,34 +7,11 @@ import (
 	"viewmap/internal/geo"
 )
 
-// BenchmarkViewmapLink isolates the candidate-pair linker — the
-// dominant cost of viewmap construction — at several population sizes.
-// Allocations are reported so a per-pair map or slice regression on the
-// hot path is immediately visible: the expected figure is a handful of
-// O(n) scratch allocations per call, independent of the candidate-pair
-// count.
-func BenchmarkViewmapLink(b *testing.B) {
-	for _, n := range []int{100, 400, 1000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			side := 1000.0 * float64(n) / 250.0
-			area := geo.NewRect(geo.Pt(0, 0), geo.Pt(side, side))
-			profiles, err := SynthesizeLegitimate(SynthConfig{N: n, Area: area, Seed: 42})
-			if err != nil {
-				b.Fatal(err)
-			}
-			vm := &Viewmap{Profiles: profiles}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				vm.Adj = make([][]int, len(vm.Profiles))
-				vm.link(DefaultDSRCRange)
-			}
-		})
-	}
-}
-
 // BenchmarkViewmapBuild measures full construction (admission, linking,
-// CSR mirroring) for the Fig. 12 arena shape.
+// CSR mirroring) for the Fig. 12 arena shape. Linking runs through the
+// one linker (IncrementalBuilder), so this also prices it. Allocations
+// are reported so a per-pair map or slice regression on the hot path
+// is immediately visible.
 func BenchmarkViewmapBuild(b *testing.B) {
 	for _, n := range []int{150, 600} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -115,12 +115,8 @@ func Handler(sys *System) http.Handler {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		if err := sys.UploadVP(body); err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, ErrDuplicate) {
-				status = http.StatusConflict
-			}
-			httpError(w, status, err)
+		if err := sys.uploadVP(body, false, obs.TraceFrom(r.Context())); err != nil {
+			httpError(w, statusFor(err), err)
 			return
 		}
 		w.WriteHeader(http.StatusCreated)
@@ -131,9 +127,9 @@ func Handler(sys *System) http.Handler {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		res, err := sys.uploadVPBatch(body, obs.TraceFrom(r.Context()))
+		res, err := sys.uploadBatchBody(body, obs.TraceFrom(r.Context()))
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			httpError(w, statusFor(err), err)
 			return
 		}
 		writeJSON(w, batchResponse{
@@ -146,7 +142,11 @@ func Handler(sys *System) http.Handler {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		if err := sys.UploadTrustedVP(r.Header.Get(authorityHeader), body); err != nil {
+		err = sys.checkAuthority(r.Header.Get(authorityHeader))
+		if err == nil {
+			err = sys.uploadVP(body, true, obs.TraceFrom(r.Context()))
+		}
+		if err != nil {
 			httpError(w, statusFor(err), err)
 			return
 		}

@@ -15,12 +15,13 @@ import (
 // — candidate enumeration, Bloom probing, graph splice — under it, so
 // ingest concurrency was bounded by lock hold time and investigations
 // stalled behind uploads. The burst pipeline moves the expensive half
-// out of the critical section: producers (Put, PutBatch, the batch
-// upload handler) group validated, identifier-claimed profiles into
-// per-minute bursts and hand them to the minute's dedicated link
-// worker over a bounded SPSC ring; the worker runs builder.Stage for
-// every profile of every queued burst outside the shard lock, then
-// takes the lock once per drain to CommitStaged and append the slab.
+// out of the critical section: producers (Store.commit, the one ingest
+// call behind Put, PutBatch, every upload path, WAL replay and snapshot
+// load) group validated, identifier-claimed profiles into per-minute
+// bursts and hand them to the minute's dedicated link worker over a
+// bounded SPSC ring; the worker runs builder.Stage for every profile
+// of every queued burst outside the shard lock, then takes the lock
+// once per drain to CommitStaged and append the slab.
 // Distinct minutes link fully in parallel (one worker each), and
 // within a minute the lock shrinks from "the whole linkage" to "the
 // graph splice".
@@ -48,8 +49,8 @@ var errStoreClosed = errors.New("server: store closed")
 type burst struct {
 	profiles []*vp.Profile
 	// countRejects selects the live-path counter behavior: linker
-	// rejections advance store.rejectedCount. Replay bursts leave the
-	// attack-facing counters alone, like PutReplay always has.
+	// rejections advance store.rejectedCount. WAL replay bursts leave
+	// the attack-facing counters alone (see Store.commit).
 	countRejects bool
 	done         chan struct{}
 

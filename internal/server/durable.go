@@ -440,50 +440,38 @@ func (sys *System) CrashAppendAbort(batches [][]byte) error {
 	return nil
 }
 
-// journalIngest appends an ingest record on the append-before-commit
-// path and registers it with the snapshot barrier. The returned
+// journalIngest appends an upload's admitted wire records on the
+// append-before-commit path and registers the record with the snapshot
+// barrier. Anonymous records go out as one walRecVPBatch record,
+// re-framed with the batch wire format (a single upload is a batch of
+// one); a trusted upload's lone record goes out as walRecVPTrusted.
+// Either way the fragments alias the request body, so the journal
+// write copies nothing. The append-through-group-commit wall time
+// lands in the WAL-append stage histogram and on tr. The returned
 // release must be called once the store commit (or its failure) is
 // final. On a non-durable system both halves are no-ops.
-func (sys *System) journalIngest(typ byte, body []byte) (release func(), err error) {
+func (sys *System) journalIngest(recs [][]byte, trusted bool, tr *obs.Trace) (release func(), err error) {
 	if sys.wal == nil {
 		return func() {}, nil
+	}
+	typ, frags := walRecVPBatch, batchWireFrags(recs)
+	if trusted {
+		typ, frags = walRecVPTrusted, recs[:1]
 	}
 	var start time.Time
-	if sys.metrics.Enabled() {
+	if sys.metrics.Enabled() || tr != nil {
 		start = time.Now()
-	}
-	var lsn uint64
-	_, err = sys.wal.Append(typ, body, func(l uint64) {
-		lsn = l
-		sys.durable.inflight.add(l)
-	})
-	if !start.IsZero() {
-		// The append blocks through the group commit, so this span is
-		// append + sync wait — the full durability cost of the request.
-		sys.metrics.Stage(obs.StageWALAppend).Record(int64(time.Since(start)))
-	}
-	if err != nil {
-		if lsn != 0 {
-			sys.durable.inflight.done(lsn)
-		}
-		return nil, fmt.Errorf("%w: %v", ErrDurability, err)
-	}
-	return func() { sys.durable.inflight.done(lsn) }, nil
-}
-
-// journalIngestVec is journalIngest for a record body assembled from
-// fragments (wal.AppendVec): the batch path journals a burst's wire
-// records as sub-slices of the request body, skipping the contiguous
-// re-marshal the old path paid per upload.
-func (sys *System) journalIngestVec(typ byte, frags [][]byte) (release func(), err error) {
-	if sys.wal == nil {
-		return func() {}, nil
 	}
 	var lsn uint64
 	_, err = sys.wal.AppendVec(typ, frags, func(l uint64) {
 		lsn = l
 		sys.durable.inflight.add(l)
 	})
+	if !start.IsZero() {
+		d := time.Since(start)
+		sys.metrics.Stage(obs.StageWALAppend).Record(int64(d))
+		tr.Observe(obs.StageWALAppend, d)
+	}
 	if err != nil {
 		if lsn != 0 {
 			sys.durable.inflight.done(lsn)
@@ -491,26 +479,6 @@ func (sys *System) journalIngestVec(typ byte, frags [][]byte) (release func(), e
 		return nil, fmt.Errorf("%w: %v", ErrDurability, err)
 	}
 	return func() { sys.durable.inflight.done(lsn) }, nil
-}
-
-// journalIngestVecTraced is journalIngestVec plus observability: the
-// append-through-group-commit wall time lands in the WAL-append stage
-// histogram and, when tr is non-nil, on the request's trace.
-func (sys *System) journalIngestVecTraced(typ byte, frags [][]byte, tr *obs.Trace) (release func(), err error) {
-	if sys.wal == nil {
-		return func() {}, nil
-	}
-	var start time.Time
-	if sys.metrics.Enabled() || tr != nil {
-		start = time.Now()
-	}
-	release, err = sys.journalIngestVec(typ, frags)
-	if !start.IsZero() {
-		d := time.Since(start)
-		sys.metrics.Stage(obs.StageWALAppend).Record(int64(d))
-		tr.Observe(obs.StageWALAppend, d)
-	}
-	return release, err
 }
 
 // journalCommitted appends a record for a mutation that is already
@@ -536,26 +504,27 @@ func (sys *System) journalCommitted(typ byte, body []byte) error {
 func (sys *System) applyWALRecord(typ byte, body []byte) error {
 	switch typ {
 	case walRecVP, walRecVPTrusted:
+		// Single-record types: walRecVP only in logs written before
+		// uploads were journaled as batches, walRecVPTrusted for every
+		// authority upload.
 		p, err := vp.Unmarshal(body)
 		if err != nil {
 			return fmt.Errorf("VP record: %w", err)
 		}
 		p.Trusted = typ == walRecVPTrusted
-		// Duplicates and validation rejections replay their original
-		// outcome; neither is an error here.
-		sys.store.PutReplay(p)
+		sys.replayVPs([]*vp.Profile{p})
 	case walRecVPBatch:
 		records, err := vp.SplitBatch(body, maxBatchRecords)
 		if err != nil {
 			return fmt.Errorf("batch record: %w", err)
 		}
+		ps := make([]*vp.Profile, 0, len(records))
 		for _, rec := range records {
-			p, err := vp.Unmarshal(rec)
-			if err != nil {
-				continue // rejected on the live path too
+			if p, err := vp.Unmarshal(rec); err == nil {
+				ps = append(ps, p) // else rejected on the live path too
 			}
-			sys.store.PutReplay(p)
 		}
+		sys.replayVPs(ps)
 	case walRecEvidenceOpen:
 		site, minute, units, ids, err := decodeEvidenceOpen(body)
 		if err != nil {
@@ -591,6 +560,20 @@ func (sys *System) applyWALRecord(typ byte, body []byte) error {
 		return fmt.Errorf("unknown WAL record type %d", typ)
 	}
 	return nil
+}
+
+// replayVPs commits replayed profiles as one burst per minute.
+// Validation failures and duplicates replay their original outcome —
+// neither is an error here — and, counted when first admitted, do not
+// advance the attack-facing counters again.
+func (sys *System) replayVPs(ps []*vp.Profile) {
+	valid := ps[:0]
+	for _, p := range ps {
+		if p.Validate() == nil {
+			valid = append(valid, p)
+		}
+	}
+	sys.store.commit(valid, false, nil)
 }
 
 // Redeem desks for walRecRedeem records. New records name the

@@ -261,37 +261,63 @@ func TestDurableRecoverBitForBit(t *testing.T) {
 	}
 }
 
-// TestDurableRecoverBetweenAppendAndCommit kills the system after a
-// record reached the log but before its shard commit — the crash
-// window ack-after-append exists for. Recovery must apply the record:
-// the post-recovery verdicts match a control system that committed it
-// normally.
+// TestDurableRecoverBetweenAppendAndCommit crashes in the window
+// ack-after-append covers, once per ingest record type: the record is
+// in the log but its profiles never committed. Recovery must replay
+// them, through the store's one commit call, to a system report-equal
+// to a control that stored them directly. walRecVP is no longer
+// written but must still replay from older logs.
 func TestDurableRecoverBetweenAppendAndCommit(t *testing.T) {
-	dir := t.TempDir()
-	sys := openDurable(t, dir, 0)
-	control := controlSystem(t)
-	uploadMinute(t, 0, 25, 3, sys, control)
-	if err := sys.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name    string
+		typ     byte
+		trusted bool
+		body    func(ps []*vp.Profile) []byte
+	}{
+		{"legacy-vp", walRecVP, false, func(ps []*vp.Profile) []byte { return ps[0].Marshal() }},
+		{"trusted", walRecVPTrusted, true, func(ps []*vp.Profile) []byte { return ps[0].Marshal() }},
+		{"batch", walRecVPBatch, false, vp.MarshalBatch},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sys := openDurable(t, dir, 0)
+			control := controlSystem(t)
+			uploadMinute(t, 0, 25, 3, sys, control)
+			if err := sys.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
 
-	extra := recordDurOwner(t, 0, 11).p
-	// Append without committing: the crash hits between the two.
-	if _, err := sys.wal.Append(walRecVP, extra.Marshal(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := control.Store().Put(extra); err != nil {
-		t.Fatal(err)
-	}
-	sys.Abort()
+			extra := []*vp.Profile{recordDurOwner(t, 0, 11).p}
+			if tc.typ == walRecVPBatch {
+				extra = append(extra, recordDurOwner(t, 0, 12).p, recordDurOwner(t, 0, 13).p)
+			}
+			// Append without committing: the crash hits between the two.
+			if _, err := sys.wal.Append(tc.typ, tc.body(extra), nil); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range extra {
+				p.Trusted = tc.trusted
+				if err := control.Store().Put(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sys.Abort()
 
-	rec := openDurable(t, dir, 0)
-	defer rec.Close()
-	if _, ok := rec.Store().Get(extra.ID()); !ok {
-		t.Fatal("record appended before the crash is missing after recovery")
-	}
-	if got, want := report(t, rec, 0), report(t, control, 0); !reflect.DeepEqual(got, want) {
-		t.Fatalf("verdicts diverge from the control after recovery")
+			rec := openDurable(t, dir, 0)
+			defer rec.Close()
+			for _, p := range extra {
+				got, ok := rec.Store().Get(p.ID())
+				if !ok {
+					t.Fatal("record appended before the crash is missing after recovery")
+				}
+				if got.Trusted != tc.trusted {
+					t.Fatalf("recovered profile trusted=%v, want %v", got.Trusted, tc.trusted)
+				}
+			}
+			if got, want := report(t, rec, 0), report(t, control, 0); !reflect.DeepEqual(got, want) {
+				t.Fatalf("verdicts diverge from the control after recovery")
+			}
+		})
 	}
 }
 

@@ -94,9 +94,9 @@ func (s *Store) saveSection(w io.Writer) error {
 }
 
 // loadSection ingests the VMAPDB01 stream of a store section written
-// by saveSection, validating every record as if it were a fresh upload.
-// Records already present are skipped; any other validation failure
-// aborts the load.
+// by saveSection, validating every record as if it were a fresh upload,
+// and commits the records as one burst per minute. Records already
+// present are skipped; any other failure aborts the load.
 func (s *Store) loadSection(r io.Reader) (loaded int, err error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -110,34 +110,37 @@ func (s *Store) loadSection(r io.Reader) (loaded int, err error) {
 		return 0, err
 	}
 	count := binary.BigEndian.Uint32(countBuf[:])
+	var ps []*vp.Profile
 	for i := uint32(0); i < count; i++ {
 		var hdr [5]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return loaded, fmt.Errorf("server: record %d header: %w", i, err)
+			return 0, fmt.Errorf("server: record %d header: %w", i, err)
 		}
 		size := binary.BigEndian.Uint32(hdr[:4])
 		if size > 1<<20 {
-			return loaded, fmt.Errorf("server: record %d claims %d bytes", i, size)
+			return 0, fmt.Errorf("server: record %d claims %d bytes", i, size)
 		}
 		rec := make([]byte, size)
 		if _, err := io.ReadFull(r, rec); err != nil {
-			return loaded, fmt.Errorf("server: record %d body: %w", i, err)
+			return 0, fmt.Errorf("server: record %d body: %w", i, err)
 		}
 		p, err := vp.Unmarshal(rec)
 		if err != nil {
-			return loaded, fmt.Errorf("server: record %d: %w", i, err)
+			return 0, fmt.Errorf("server: record %d: %w", i, err)
 		}
 		p.Trusted = hdr[4] == 1
-		switch err := s.Put(p); {
-		case err == nil:
-			loaded++
-		case errors.Is(err, ErrDuplicate):
-			// Re-loading over a warm store is fine.
-		default:
-			return loaded, fmt.Errorf("server: record %d: %w", i, err)
+		if err := p.Validate(); err != nil {
+			s.rejectedCount.Add(1)
+			return 0, fmt.Errorf("server: record %d: rejecting VP: %w", i, err)
 		}
+		ps = append(ps, p)
 	}
-	return loaded, nil
+	// Re-loading over a warm store is fine: duplicates are skipped.
+	res, err := s.commit(ps, true, nil)
+	if res.Rejected > 0 {
+		return res.Stored, fmt.Errorf("server: loading database: %w", err)
+	}
+	return res.Stored, nil
 }
 
 // Full-system persistence: one file carrying the VP database, the

@@ -111,8 +111,8 @@ func wantSystemStream(t *testing.T, sys *System) []byte {
 // TestPersistFormatPin pins every store-carrying file to the documented
 // framing built from vp.Profile.Marshal: System.SaveTo, the durable
 // snapshot, and minute segments (written through the store's one
-// spill writer), whose link section is built from the batch linker's
-// graph and whose CRC-32C is computed here. Minute 0 spans several
+// spill writer), whose link section is built from core.Build's graph
+// and whose CRC-32C is computed here. Minute 0 spans several
 // recordChunk writes, and the second snapshot and segment are smaller
 // than the first, so stale bytes left in a reused buffer would show.
 func TestPersistFormatPin(t *testing.T) {
@@ -194,7 +194,7 @@ func TestPersistFormatPin(t *testing.T) {
 }
 
 // wantLinkSection builds a segment's link section for a minute's
-// profiles from the batch linker: core.Build over a site whose coverage
+// profiles from a fresh link: core.Build over a site whose coverage
 // takes in every plausible profile, each node listing its neighbours
 // with smaller ids.
 func wantLinkSection(t *testing.T, profiles []*vp.Profile, m int64) []byte {

@@ -294,50 +294,8 @@ func (s *Store) Put(p *vp.Profile) error {
 		s.rejectedCount.Add(1)
 		return fmt.Errorf("server: rejecting VP: %w", err)
 	}
-	return s.putClaimed(p, true)
-}
-
-// putPrevalidated stores a profile the caller has already run through
-// vp.Profile.Validate — the System's upload handlers validate during
-// admission and must not pay (or recount) the structural checks a
-// second time on the storage path. Semantics are otherwise Put's.
-func (s *Store) putPrevalidated(p *vp.Profile) error {
-	return s.putClaimed(p, true)
-}
-
-// PutReplay stores a profile on the WAL-replay path: identical to Put
-// except that rejections and duplicates do not advance the attack-
-// facing ingest counters — a replayed record was already counted (or
-// already stored) when it was first admitted, and recovery must not
-// inflate the gate statistics.
-func (s *Store) PutReplay(p *vp.Profile) error {
-	if err := p.Validate(); err != nil {
-		return fmt.Errorf("server: rejecting VP: %w", err)
-	}
-	return s.putClaimed(p, false)
-}
-
-// putClaimed claims a validated profile's identifier and submits it to
-// its minute's link worker as a single-profile burst. count selects
-// the live-path counter behavior (see PutReplay).
-func (s *Store) putClaimed(p *vp.Profile, count bool) error {
-	if _, dup := s.ids.LoadOrStore(p.ID(), p); dup {
-		if count {
-			s.duplicateCount.Add(1)
-		}
-		return ErrDuplicate
-	}
-	b, err := s.submitBurst(p.Minute(), []*vp.Profile{p}, count, nil)
-	if err != nil {
-		s.ids.Delete(p.ID())
-		return err
-	}
-	if b.errs != nil && b.errs[0] != nil {
-		// The worker already released the identifier claim and aligned
-		// the counters.
-		return b.errs[0]
-	}
-	return nil
+	_, err := s.commit([]*vp.Profile{p}, true, nil)
+	return err
 }
 
 // BatchResult summarizes one batched ingest.
@@ -367,55 +325,70 @@ func (s *Store) PutBatch(ps []*vp.Profile) BatchResult {
 		}
 		valid = append(valid, p)
 	}
-	put := s.putValidated(valid)
-	res.Stored = put.Stored
-	res.Duplicates = put.Duplicates
-	res.Rejected += put.Rejected
-	return res
+	put, _ := s.commit(valid, true, nil)
+	put.Rejected += res.Rejected
+	return put
 }
 
-// putValidated claims and stores already-validated profiles, grouped
-// by minute into one burst per shard. PutBatch layers validation on
-// top; the System's batch upload handler calls it directly, having
-// validated each profile exactly once during admission.
-func (s *Store) putValidated(ps []*vp.Profile) BatchResult {
-	return s.putValidatedTraced(ps, nil)
-}
-
-// putValidatedTraced is putValidated carrying the request's trace so
-// the per-minute bursts can charge their ring-wait, Stage, and commit
-// spans back to the originating upload.
-func (s *Store) putValidatedTraced(ps []*vp.Profile, tr *obs.Trace) BatchResult {
+// commit is the store's one ingest call: Put, PutBatch, every upload
+// path, WAL replay and snapshot load end here. It claims each
+// profile's identifier — duplicates, from other uploads or within ps,
+// drop out before a shard is created for an attacker-chosen minute —
+// then groups the claimed profiles by minute and submits one burst per
+// minute to the minute's link worker, charging the bursts' ring-wait,
+// Stage and commit spans to tr. The profiles must have passed
+// vp.Profile.Validate. count says whether the attack-facing counters
+// (duplicates, rejections) advance; WAL replay passes false, since a
+// replayed profile was counted when it was first admitted. commit
+// returns the batch's counts and a per-profile error, nil when every
+// profile was stored: the first rejection, else ErrDuplicate when an
+// identifier was already claimed.
+func (s *Store) commit(ps []*vp.Profile, count bool, tr *obs.Trace) (BatchResult, error) {
 	var res BatchResult
+	var first error
 	byMinute := make(map[int64][]*vp.Profile)
 	for _, p := range ps {
-		// Claim identifiers first: duplicates (from other uploads or
-		// within the batch) drop out before a shard is created for an
-		// attacker-chosen minute, as in Put.
 		if _, dup := s.ids.LoadOrStore(p.ID(), p); dup {
 			res.Duplicates++
-			s.duplicateCount.Add(1)
+			if count {
+				s.duplicateCount.Add(1)
+			}
 			continue
 		}
 		byMinute[p.Minute()] = append(byMinute[p.Minute()], p)
 	}
 	for m, group := range byMinute {
-		b, err := s.submitBurst(m, group, true, tr)
+		b, err := s.submitBurst(m, group, count, tr)
 		if err != nil {
 			// The minute's segment is unreadable (or the store is shut
 			// down); release the claims so a retry after the operator
 			// intervenes can still land.
 			for _, p := range group {
 				s.ids.Delete(p.ID())
-				res.Rejected++
-				s.rejectedCount.Add(1)
+			}
+			res.Rejected += len(group)
+			if count {
+				s.rejectedCount.Add(int64(len(group)))
+			}
+			if first == nil {
+				first = err
 			}
 			continue
 		}
 		res.Stored += b.stored
 		res.Rejected += b.rejected
+		for _, err := range b.errs {
+			if first == nil && err != nil {
+				// The worker already released the identifier claim and
+				// aligned the counters.
+				first = err
+			}
+		}
 	}
-	return res
+	if first == nil && res.Duplicates > 0 {
+		first = ErrDuplicate
+	}
+	return res, first
 }
 
 // hasID reports whether an identifier is claimed — by a live profile

@@ -242,39 +242,34 @@ func (sys *System) checkAuthority(token string) error {
 	return nil
 }
 
-// UploadVP ingests an anonymous VP upload (wire format). On a durable
-// system the record is appended to the WAL — and fsynced — before the
-// store commit, so a success return means the profile survives a crash
-// (ack-after-append); structurally invalid profiles are rejected
-// without touching the log.
+// UploadVP ingests an anonymous VP upload (wire format) as a batch of
+// one through the batch path (uploadVPBatch). On a durable system the
+// record is appended to the WAL — and fsynced — before the store
+// commit, so a success return means the profile survives a crash
+// (ack-after-append); stale, invalid and already-claimed profiles are
+// rejected without touching the log.
 func (sys *System) UploadVP(data []byte) error {
-	p, err := vp.Unmarshal(data)
-	if err != nil {
-		sys.store.noteWireRejected(1)
+	return sys.uploadVP(data, false, nil)
+}
+
+// UploadTrustedVP ingests a VP from an authority vehicle, as UploadVP
+// does; the profile is marked trusted, exempt from the stale-minute
+// gate, and becomes a trust seed for viewmaps.
+func (sys *System) UploadTrustedVP(token string, data []byte) error {
+	if err := sys.checkAuthority(token); err != nil {
 		return err
 	}
-	if err := p.Validate(); err != nil {
-		// Count the rejection at the store's gate without logging the
-		// doomed record; Put would fail identically.
-		sys.store.rejectedCount.Add(1)
-		return fmt.Errorf("server: rejecting VP: %w", err)
-	}
-	if sys.staleMinute(p.Minute()) {
-		sys.store.noteStaleRejected(1)
-		return fmt.Errorf("%w (minute %d)", ErrStaleMinute, p.Minute())
-	}
-	if sys.store.hasID(p.ID()) {
-		// Already claimed: the store below rejects deterministically, so
-		// the replayed identifier never costs log space or an fsync.
-		return sys.store.putPrevalidated(p)
-	}
-	release, err := sys.journalIngest(walRecVP, data)
+	return sys.uploadVP(data, true, nil)
+}
+
+// uploadVP hands one wire record to uploadVPBatch as a batch of one and
+// returns its outcome: the batch's error, else the record's own.
+func (sys *System) uploadVP(data []byte, trusted bool, tr *obs.Trace) error {
+	_, first, err := sys.uploadVPBatch([][]byte{data}, trusted, tr)
 	if err != nil {
 		return err
 	}
-	defer release()
-	// Validated above; the store must not re-run the structural checks.
-	return sys.store.putPrevalidated(p)
+	return first
 }
 
 // maxBatchRecords bounds one batched upload; at ~5 KB per VP this
@@ -287,20 +282,37 @@ const maxBatchRecords = 1 << 14
 // (truncated length or body, trailing bytes, oversized batch) aborts
 // with an error.
 func (sys *System) UploadVPBatch(data []byte) (BatchResult, error) {
-	return sys.uploadVPBatch(data, nil)
+	return sys.uploadBatchBody(data, nil)
 }
 
-// uploadVPBatch is UploadVPBatch carrying the request's trace (nil
-// for internal callers): the decode+validate pass is timed here, the
-// WAL append inside journalIngestVec, and the ring/link/commit stages
-// by the shard workers the trace rides to.
-func (sys *System) uploadVPBatch(data []byte, tr *obs.Trace) (BatchResult, error) {
-	decodeStart := time.Now()
+// uploadBatchBody splits a batch body into its wire records and ingests
+// them (uploadVPBatch), carrying the request's trace.
+func (sys *System) uploadBatchBody(data []byte, tr *obs.Trace) (BatchResult, error) {
 	records, err := vp.SplitBatch(data, maxBatchRecords)
 	if err != nil {
 		return BatchResult{}, err
 	}
-	var res BatchResult
+	res, _, err := sys.uploadVPBatch(records, false, tr)
+	return res, err
+}
+
+// uploadVPBatch is the one ingest path every upload takes: decode,
+// validate, journal, commit. Records are anonymous uploads, or with
+// trusted set a single authority upload. It counts each record's
+// failure (stale, malformed, invalid, duplicate) in the result and the
+// store's gate counters, and returns the first such failure as first;
+// err is a failure of the whole batch (the journal), with nothing
+// stored. tr, nil for internal callers, receives the decode+validate
+// span timed here, the WAL append (journalIngest), and the
+// ring/link/commit spans of the shard workers it rides to.
+func (sys *System) uploadVPBatch(records [][]byte, trusted bool, tr *obs.Trace) (res BatchResult, first error, err error) {
+	decodeStart := time.Now()
+	fail := func(e error) {
+		res.Rejected++
+		if first == nil {
+			first = e
+		}
+	}
 	// Zero-copy decode: records are grouped by minute with a wire peek
 	// (no decode) and each minute group decodes into its own contiguous
 	// arena — the slabs that land in a shard are per-shard, and decode
@@ -318,12 +330,14 @@ func (sys *System) uploadVPBatch(data []byte, tr *obs.Trace) (BatchResult, error
 		var p *vp.Profile
 		var err error
 		if m, ok := vp.PeekRecordMinute(rec); ok {
-			if sys.staleMinute(m) {
+			if !trusted && sys.staleMinute(m) {
 				// Stale-minute admission (armed via MaxUploadLagMinutes):
 				// a skewed record is turned away on the wire peek alone —
-				// no decode, no arena space, no WAL append.
-				res.Rejected++
+				// no decode, no arena space, no WAL append. The authority
+				// backfills windows deliberately, so trusted uploads are
+				// exempt.
 				sys.store.noteStaleRejected(1)
+				fail(fmt.Errorf("%w (minute %d)", ErrStaleMinute, m))
 				continue
 			}
 			a := arenas[m]
@@ -338,16 +352,17 @@ func (sys *System) uploadVPBatch(data []byte, tr *obs.Trace) (BatchResult, error
 			p, err = vp.Unmarshal(rec)
 		}
 		if err != nil {
-			res.Rejected++
 			sys.store.noteWireRejected(1)
+			fail(err)
 			continue
 		}
-		// The batch's only validation pass: the storage path below takes
-		// the result on trust (putValidated), so a record's structural
-		// checks run exactly once per upload.
+		p.Trusted = trusted
+		// The upload's only validation pass: the store commit takes the
+		// result on trust, so a record's structural checks run exactly
+		// once per upload.
 		if err := p.Validate(); err != nil {
-			res.Rejected++
 			sys.store.rejectedCount.Add(1)
+			fail(fmt.Errorf("server: rejecting VP: %w", err))
 			continue
 		}
 		valid = append(valid, p)
@@ -367,20 +382,19 @@ func (sys *System) uploadVPBatch(data []byte, tr *obs.Trace) (BatchResult, error
 	tr.Observe(obs.StageDecode, decodeNS)
 	if len(journalRecs) > 0 {
 		// Ack-after-append: the admitted records hit the log (and the
-		// disk), re-framed with the batch wire format, before any
-		// profile commits; replay re-parses them with the same
-		// per-record failure policy. The fragments alias the request
-		// body — the journal write copies nothing.
-		release, err := sys.journalIngestVecTraced(walRecVPBatch, batchWireFrags(journalRecs), tr)
+		// disk) before any profile commits.
+		release, err := sys.journalIngest(journalRecs, trusted, tr)
 		if err != nil {
-			return BatchResult{}, err
+			return BatchResult{}, nil, err
 		}
 		defer release()
 	}
-	put := sys.store.putValidatedTraced(valid, tr)
-	res.Stored, res.Duplicates = put.Stored, put.Duplicates
-	res.Rejected += put.Rejected
-	return res, nil
+	put, err := sys.store.commit(valid, true, tr)
+	if first == nil {
+		first = err
+	}
+	put.Rejected += res.Rejected
+	return put, first, nil
 }
 
 // batchWireFrags frames wire records with the vp.MarshalRawBatch
@@ -402,32 +416,6 @@ func batchWireFrags(recs [][]byte) [][]byte {
 		frags = append(frags, hdrs[off:off+4], rec)
 	}
 	return frags
-}
-
-// UploadTrustedVP ingests a VP from an authority vehicle; the profile
-// is marked trusted and becomes a trust seed for viewmaps.
-func (sys *System) UploadTrustedVP(token string, data []byte) error {
-	if err := sys.checkAuthority(token); err != nil {
-		return err
-	}
-	p, err := vp.Unmarshal(data)
-	if err != nil {
-		return err
-	}
-	p.Trusted = true
-	if err := p.Validate(); err != nil {
-		sys.store.rejectedCount.Add(1)
-		return fmt.Errorf("server: rejecting VP: %w", err)
-	}
-	if sys.store.hasID(p.ID()) {
-		return sys.store.putPrevalidated(p)
-	}
-	release, err := sys.journalIngest(walRecVPTrusted, data)
-	if err != nil {
-		return err
-	}
-	defer release()
-	return sys.store.putPrevalidated(p)
 }
 
 // InvestigationReport summarizes one viewmap verification.

@@ -216,28 +216,12 @@ func (cr *CityRun) ProfilesForMinute(m int, withGuards bool) (*MinuteProfiles, e
 		out.Profiles = append(out.Profiles, p)
 		out.Owner[p.ID()] = v
 	}
-	pairs := cr.neighborPairs(m)
-	out.Pairs = pairs
-	// Link in sorted pair order: map iteration order would leak into
-	// the neighbor lists and, through guard-target sampling below,
-	// make same-seed runs diverge.
-	keys := make([][2]int, 0, len(pairs))
-	for k := range pairs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	neighborsOf := make(map[int][]int)
+	out.Pairs = cr.neighborPairs(m)
+	keys, neighborsOf := sortedPairs(out.Pairs)
 	for _, k := range keys {
 		if err := vp.LinkMutually(out.Profiles[k[0]], out.Profiles[k[1]]); err != nil {
 			return nil, err
 		}
-		neighborsOf[k[0]] = append(neighborsOf[k[0]], k[1])
-		neighborsOf[k[1]] = append(neighborsOf[k[1]], k[0])
 	}
 	if withGuards {
 		for v := 0; v < n; v++ {
@@ -267,6 +251,29 @@ func (cr *CityRun) ProfilesForMinute(m int, withGuards bool) (*MinuteProfiles, e
 	return out, nil
 }
 
+// sortedPairs returns the pair set's keys in ascending order, and each
+// vehicle's partners in that order. Both guard-sampling paths draw
+// neighbours by index (cr.rng.Perm), so the lists they draw from must
+// not inherit map iteration order, or same-seed runs diverge.
+func sortedPairs(pairs map[[2]int]int) ([][2]int, map[int][]int) {
+	keys := make([][2]int, 0, len(pairs))
+	for k := range pairs {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
+		}
+		return keys[i][1] < keys[j][1]
+	})
+	neighborsOf := make(map[int][]int)
+	for _, k := range keys {
+		neighborsOf[k[0]] = append(neighborsOf[k[0]], k[1])
+		neighborsOf[k[1]] = append(neighborsOf[k[1]], k[0])
+	}
+	return keys, neighborsOf
+}
+
 // TrackingDataset derives the tracker's view of the whole run:
 // per-minute anonymous observations of actual VPs (and guard VPs when
 // withGuards is set), without fabricating full profiles.
@@ -291,12 +298,7 @@ func (cr *CityRun) TrackingDataset(withGuards bool) (*tracker.Dataset, error) {
 		if !withGuards {
 			continue
 		}
-		pairs := cr.neighborPairs(m)
-		neighborsOf := make(map[int][]int)
-		for k := range pairs {
-			neighborsOf[k[0]] = append(neighborsOf[k[0]], k[1])
-			neighborsOf[k[1]] = append(neighborsOf[k[1]], k[0])
-		}
+		_, neighborsOf := sortedPairs(cr.neighborPairs(m))
 		for v := 0; v < cr.Trace.NumVehicles(); v++ {
 			nbrs := neighborsOf[v]
 			if len(nbrs) == 0 {

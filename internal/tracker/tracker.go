@@ -64,9 +64,10 @@ func (c Config) withDefaults() Config {
 // Tracker follows one target through an observation dataset.
 type Tracker struct {
 	cfg Config
-	// belief maps observation index (into the current minute's slice)
-	// to probability; exposed via snapshots.
-	belief map[int]float64
+	// belief[i] is the probability on observation i of the current
+	// minute. A dense slice, not a map: the sums below then run in
+	// observation order, so equal inputs give bit-identical metrics.
+	belief []float64
 	target int
 }
 
@@ -90,7 +91,7 @@ func Track(byMinute [][]Observation, target int, cfg Config) ([]MinuteMetrics, e
 	if len(byMinute) == 0 {
 		return nil, errors.New("tracker: empty dataset")
 	}
-	tr := &Tracker{cfg: cfg, belief: make(map[int]float64), target: target}
+	tr := &Tracker{cfg: cfg, target: target}
 
 	// Initialize: find the target's actual VP in minute 0.
 	first := byMinute[0]
@@ -104,6 +105,7 @@ func Track(byMinute [][]Observation, target int, cfg Config) ([]MinuteMetrics, e
 	if init == -1 {
 		return nil, fmt.Errorf("tracker: target %d has no VP in minute 0", target)
 	}
+	tr.belief = make([]float64, len(first))
 	tr.belief[init] = 1
 
 	out := make([]MinuteMetrics, 0, len(byMinute))
@@ -118,16 +120,17 @@ func Track(byMinute [][]Observation, target int, cfg Config) ([]MinuteMetrics, e
 // step advances belief from the previous minute's observations to the
 // next minute's.
 func (tr *Tracker) step(prev, next []Observation) {
-	nb := make(map[int]float64, len(tr.belief))
+	nb := make([]float64, len(next))
+	weights := make([]float64, len(next))
 	for pi, pb := range tr.belief {
 		if pb == 0 {
 			continue
 		}
 		pred := prev[pi].End
 		// Weight candidates by the deviation model.
-		weights := make(map[int]float64)
 		var wsum float64
 		for ni := range next {
+			weights[ni] = 0
 			d := pred.Dist(next[ni].Start)
 			if d > tr.cfg.MaxJumpM {
 				continue

@@ -92,10 +92,9 @@ type Profile struct {
 }
 
 // Digests returns the cached Bloom digests of the profile's VDs,
-// computing them on first use. Viewmap construction fetches the slice
-// once per profile per link run and threads it through
-// MutualNeighborsDigests so candidate-pair testing never re-derives
-// (or even re-checks the cache of) the 16-byte digest pairs. Safe for
+// computing them on first use, so no pair test re-derives the 16-byte
+// digest pairs: MutualNeighbors reads the whole slice, and MutualFilters
+// reads it only when the first/last fast path is indecisive. Safe for
 // concurrent use.
 func (p *Profile) Digests() [][2]uint32 {
 	p.digestOnce.Do(func() {
@@ -261,15 +260,6 @@ func (p *Profile) PlausibleTrajectory() bool {
 // cost is that a contact which delivered only one beacon total is not
 // linkable — a sub-second encounter that carries no evidential weight.
 func MutualNeighbors(a, b *Profile, dsrcRange float64) bool {
-	return MutualNeighborsDigests(a, b, a.Digests(), b.Digests(), dsrcRange)
-}
-
-// MutualNeighborsDigests is MutualNeighbors with both profiles' Bloom
-// digest slices (see Digests) supplied by the caller. Viewmap
-// construction prefetches every member's digests once and passes them
-// here for each candidate pair, keeping digest derivation off the
-// per-pair path.
-func MutualNeighborsDigests(a, b *Profile, aDigests, bDigests [][2]uint32, dsrcRange float64) bool {
 	if a.Minute() != b.Minute() {
 		return false
 	}
@@ -291,49 +281,20 @@ func MutualNeighborsDigests(a, b *Profile, aDigests, bDigests [][2]uint32, dsrcR
 	if !near {
 		return false
 	}
-	return containsAtLeast(a.Neighbors, bDigests, 2) && containsAtLeast(b.Neighbors, aDigests, 2)
+	return containsAtLeast(a.Neighbors, b.Digests(), 2) && containsAtLeast(b.Neighbors, a.Digests(), 2)
 }
 
-// MutualNeighborsLazy is MutualNeighbors evaluated against the
-// profiles' lazily materialized digest caches: the proximity check and
-// digest-hit semantics are identical, but each membership direction
-// first probes only the counterpart's first/last digest pairs
-// (EdgeDigests) and derives the full sixty-entry digest slice on
-// demand. Honest pairs — whose filters hold exactly each other's first
-// and last VDs — never compute an interior digest, which removes the
-// dominant fixed cost of link-on-ingest. The accepted pair set is
-// exactly MutualNeighbors'; the equivalence property tests hold the
-// two together.
-func MutualNeighborsLazy(a, b *Profile, dsrcRange float64) bool {
-	if a.Minute() != b.Minute() {
-		return false
-	}
-	if a.ID() == b.ID() {
-		return false
-	}
-	n := len(a.VDs)
-	if len(b.VDs) < n {
-		n = len(b.VDs)
-	}
-	near := false
-	range2 := dsrcRange * dsrcRange
-	for i := 0; i < n; i++ {
-		if a.VDs[i].L.Dist2(b.VDs[i].L) <= range2 {
-			near = true
-			break
-		}
-	}
-	if !near {
-		return false
-	}
-	return containsAtLeastLazy(a.Neighbors, b) && containsAtLeastLazy(b.Neighbors, a)
-}
-
-// MutualFilters is the Bloom half of MutualNeighborsLazy alone: each
-// profile's filter must contain at least two of the other's VD
-// digests. Callers (the incremental linker) use it when the
-// same-minute, distinct-identifier, and sample-proximity guards are
-// already established by their own admission and candidate tests.
+// MutualFilters is the Bloom half of MutualNeighbors alone, evaluated
+// against the profiles' lazily materialized digest caches: each
+// profile's filter must contain at least two of the other's VD digests,
+// but each direction first probes only the counterpart's first/last
+// digest pairs (EdgeDigests) and derives the full sixty-entry digest
+// slice on demand. Honest pairs — whose filters hold exactly each
+// other's first and last VDs — never compute an interior digest. The
+// accepted set is exactly MutualNeighbors' Bloom half. The linker
+// (core.IncrementalBuilder) calls it once its own admission and
+// candidate tests have established the same-minute,
+// distinct-identifier and sample-proximity guards.
 func MutualFilters(a, b *Profile) bool {
 	return containsAtLeastLazy(a.Neighbors, b) && containsAtLeastLazy(b.Neighbors, a)
 }
