@@ -156,8 +156,9 @@ coverage:
 
 # Native fuzzing over the untrusted decoders: the anonymous VP wire
 # format, the batched-upload framing, the snapshot decoder, the WAL
-# replay path (framing scanner + every record-body decoder), and the
-# minute-segment reader with the graph restore behind it.
+# replay path (framing scanner + every record-body decoder), the
+# minute-segment reader with the graph restore behind it, and the
+# evidence delivery body (the one-pass decoder against encoding/json).
 # Each target gets FUZZTIME of coverage-guided input generation on top
 # of the checked-in seed corpus; -fuzzminimizetime keeps minimization
 # of interesting inputs from eating the budget on small machines.
@@ -167,6 +168,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSystemLoadFrom -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x -run=NONE ./internal/server/
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x -run=NONE ./internal/server/
 	$(GO) test -fuzz=FuzzSegmentRead -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x -run=NONE ./internal/server/
+	$(GO) test -fuzz=FuzzDeliverDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x -run=NONE ./internal/server/
 
 # Hot-path micro-benchmarks with allocation reporting.
 bench-micro:

@@ -1,13 +1,13 @@
 package server
 
 import (
-	"bytes"
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
 	"net/http"
 	"net/url"
@@ -110,7 +110,7 @@ func Handler(sys *System) http.Handler {
 		mux.HandleFunc(pattern, h)
 	}
 	handle("POST /v1/vp", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxUploadBytes))
+		body, err := readBody(r)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
@@ -122,7 +122,7 @@ func Handler(sys *System) http.Handler {
 		w.WriteHeader(http.StatusCreated)
 	})
 	handle("POST /v1/vp/batch", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxUploadBytes))
+		body, err := readBody(r)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
@@ -137,7 +137,7 @@ func Handler(sys *System) http.Handler {
 		})
 	})
 	handle("POST /v1/vp/trusted", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxUploadBytes))
+		body, err := readBody(r)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
@@ -378,8 +378,8 @@ func Handler(sys *System) http.Handler {
 		writeJSON(w, out)
 	})
 	handle("POST /v1/evidence/deliver", func(w http.ResponseWriter, r *http.Request) {
-		var req deliverRequest
-		if err := decodeJSON(r, &req); err != nil {
+		req, err := decodeDeliver(r)
+		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -817,31 +817,21 @@ type deliverRequest struct {
 // [[1,2,3]] stays a 400 as it is for any other non-string chunk.
 type chunkJSON []byte
 
-// UnmarshalJSON decodes an escape-free literal straight from the body
-// bytes; a literal with an escape is unquoted first. null is an empty
-// chunk.
+// UnmarshalJSON decodes a base64 string; null is an empty chunk.
 func (c *chunkJSON) UnmarshalJSON(data []byte) error {
 	if string(data) == "null" {
 		*c = chunkJSON{}
 		return nil
 	}
-	if len(data) < 2 || data[0] != '"' {
+	var s string
+	if err := json.Unmarshal(data, &s); err != nil {
 		return errors.New("server: chunk is not a base64 string")
 	}
-	lit := data[1 : len(data)-1]
-	if bytes.IndexByte(lit, '\\') >= 0 {
-		var s string
-		if err := json.Unmarshal(data, &s); err != nil {
-			return err
-		}
-		lit = []byte(s)
-	}
-	out := make([]byte, base64.StdEncoding.DecodedLen(len(lit)))
-	n, err := base64.StdEncoding.Decode(out, lit)
+	out, err := base64.StdEncoding.DecodeString(s)
 	if err != nil {
 		return fmt.Errorf("server: chunk: %w", err)
 	}
-	*c = out[:n]
+	*c = out
 	return nil
 }
 
@@ -860,12 +850,13 @@ type videoResponse struct {
 // Helpers.
 
 // rectFromQuery decodes a site rectangle from minX/minY/maxX/maxY
-// query parameters.
+// query parameters. ParseFloat accepts NaN and infinities, which no
+// site may hold, so they are refused here too.
 func rectFromQuery(q url.Values) (geo.Rect, error) {
 	var vals [4]float64
 	for i, k := range [4]string{"minX", "minY", "maxX", "maxY"} {
 		v, err := strconv.ParseFloat(q.Get(k), 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return geo.Rect{}, fmt.Errorf("server: bad %s %q", k, q.Get(k))
 		}
 		vals[i] = v
@@ -874,7 +865,13 @@ func rectFromQuery(q url.Values) (geo.Rect, error) {
 }
 
 func decodeJSON(r *http.Request, v interface{}) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxUploadBytes))
+	return decodeJSONFrom(io.LimitReader(r.Body, maxUploadBytes), v)
+}
+
+// decodeJSONFrom decodes the first JSON value in rd into v, refusing
+// unknown fields and ignoring anything after the value.
+func decodeJSONFrom(rd io.Reader, v interface{}) error {
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }

@@ -150,9 +150,12 @@ func BenchmarkSegmentReload(b *testing.B) {
 	}
 }
 
-// BenchmarkDeliverDecode decodes one evidence delivery body: 60
-// 160x90 luminance frames, 1.15 MB of JSON once base64-encoded — the
-// shape of a solicited minute in the evidence workload.
+// BenchmarkDeliverDecode reads and decodes one evidence delivery
+// body: 60 160x90 luminance frames, 1.15 MB of JSON once
+// base64-encoded — the shape of a solicited minute in the evidence
+// workload. canonical is the body clients send, which takes the
+// one-pass decoder; escaped writes every '/' as '\/', which prices the
+// encoding/json fallback.
 func BenchmarkDeliverDecode(b *testing.B) {
 	chunks := make([][]byte, 60)
 	rng := rand.New(rand.NewSource(1))
@@ -164,15 +167,25 @@ func BenchmarkDeliverDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(body)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var req deliverRequest
-		if err := decodeJSON(httptest.NewRequest("POST", "/v1/evidence/deliver", bytes.NewReader(body)), &req); err != nil {
-			b.Fatal(err)
-		}
-		if len(req.Chunks) != len(chunks) {
-			b.Fatalf("decoded %d chunks, want %d", len(req.Chunks), len(chunks))
-		}
+	for _, bc := range []struct {
+		name string
+		body []byte
+	}{
+		{"canonical", body},
+		{"escaped", bytes.ReplaceAll(body, []byte("/"), []byte(`\/`))},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(bc.body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				req, err := decodeDeliver(httptest.NewRequest("POST", "/v1/evidence/deliver", bytes.NewReader(bc.body)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(req.Chunks) != len(chunks) {
+					b.Fatalf("decoded %d chunks, want %d", len(req.Chunks), len(chunks))
+				}
+			}
+		})
 	}
 }

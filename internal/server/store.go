@@ -8,6 +8,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -661,8 +662,16 @@ func (s *Store) ViewmapFor(site geo.Rect, minute int64) (*core.Viewmap, error) {
 //
 // The returned viewmap is immutable; later ingests produce new
 // viewmaps rather than mutating published ones, so callers may use it
-// without locking, concurrently with further uploads.
+// without locking, concurrently with further uploads. A site with a NaN
+// or infinite coordinate is refused.
 func (s *Store) SiteViewmap(site geo.Rect, minute int64) (*core.Viewmap, uint64, uint64, error) {
+	// The site keys the shard's cache, and a NaN key can never be found
+	// or evicted again; a site spanning an infinity has a NaN centre.
+	for _, v := range [4]float64{site.Min.X, site.Min.Y, site.Max.X, site.Max.Y} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, 0, 0, fmt.Errorf("server: site %v has a non-finite coordinate", site)
+		}
+	}
 	sh, err := s.residentShard(minute)
 	if err != nil {
 		return nil, 0, 0, err

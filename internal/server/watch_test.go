@@ -10,7 +10,11 @@ package server_test
 
 import (
 	"fmt"
+	"math"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -176,5 +180,79 @@ func TestWatchInvestigationResumesFromEpoch(t *testing.T) {
 	}
 	if calls != 0 {
 		t.Fatalf("resumed watch re-delivered %d reports for unchanged content", calls)
+	}
+}
+
+// TestWatchRefusesNonFiniteSite pins a cache-poisoning bug: a watch
+// whose site had a NaN coordinate answered 400 but left a site-cache
+// entry under a NaN key, which no lookup or eviction can find again.
+// Once such entries filled the minute's cache, the next new site
+// panicked in the eviction. Non-finite sites are refused before
+// the cache, from the query and from Go callers alike.
+func TestWatchRefusesNonFiniteSite(t *testing.T) {
+	area := geo.NewRect(geo.Pt(0, 0), geo.Pt(500, 500))
+	profiles, err := core.SynthesizeLegitimate(core.SynthConfig{N: 30, Area: area, Seed: 53})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ti := core.MarkTrustedNearest(profiles, area.Center())
+	newSystem := func() *server.System {
+		t.Helper()
+		sys, err := server.NewSystem(server.Config{AuthorityToken: "tok", Bank: sharedBank(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var anon []*vp.Profile
+		for i, p := range profiles {
+			if i != ti {
+				anon = append(anon, p)
+			}
+		}
+		if err := sys.UploadTrustedVP("tok", profiles[ti].Marshal()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.UploadVPBatch(vp.MarshalBatch(anon)); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	sys := newSystem()
+	h := server.Handler(sys)
+
+	params := []string{"minX", "minY", "maxX", "maxY"}
+	bad := []string{"NaN", "Inf", "-Inf", "+Inf", "nan", "-infinity"}
+	for i := 0; i < 12; i++ {
+		q := url.Values{"minX": {"0"}, "minY": {"0"}, "maxX": {"500"}, "maxY": {"500"},
+			"minute": {"0"}, "maxReports": {"1"}}
+		param := params[i%len(params)]
+		q.Set(param, bad[i%len(bad)])
+		req := httptest.NewRequest("GET", "/v1/investigate/watch?"+q.Encode(), nil)
+		req.Header.Set("X-Viewmap-Authority", "tok")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != 400 || !strings.Contains(rec.Body.String(), param) {
+			t.Fatalf("watch with %s=%s: status %d, body %q; want 400 naming %s",
+				param, q.Get(param), rec.Code, rec.Body.String(), param)
+		}
+	}
+	for _, site := range []geo.Rect{
+		geo.NewRect(geo.Pt(math.NaN(), 0), geo.Pt(500, 500)),
+		geo.NewRect(geo.Pt(0, math.Inf(-1)), geo.Pt(500, 500)),
+		geo.NewRect(geo.Pt(0, 0), geo.Pt(math.Inf(1), 500)),
+	} {
+		if _, err := sys.Investigate("tok", site, 0); err == nil {
+			t.Fatalf("Investigate(%v) succeeded, want a refusal", site)
+		}
+	}
+
+	// More finite sites than the cache holds, so eviction runs.
+	fresh := newSystem()
+	for i := 0; i < 10; i++ {
+		site := geo.RectAround(area.Center(), 120+float64(10*i))
+		got, gotErr := sys.Investigate("tok", site, 0)
+		want, wantErr := fresh.Investigate("tok", site, 0)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("site %d: got (%+v, %v), a fresh system gives (%+v, %v)", i, got, gotErr, want, wantErr)
+		}
 	}
 }
