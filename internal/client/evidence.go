@@ -229,6 +229,11 @@ type RetentionStats struct {
 	// EvictionTotalMS is the cumulative eviction wall time (spill +
 	// drop) in milliseconds.
 	EvictionTotalMS float64 `json:"evictionTotalMs"`
+	// Reloads counts segment reloads this process lifetime.
+	Reloads int64 `json:"reloads"`
+	// ReloadTotalMS is the cumulative reload wall time (read, decode,
+	// restore, install) in milliseconds.
+	ReloadTotalMS float64 `json:"reloadTotalMs"`
 }
 
 // DurabilityStats describe the WAL/snapshot runtime in GET /v1/stats.

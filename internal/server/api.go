@@ -530,6 +530,8 @@ func Handler(sys *System) http.Handler {
 				EvictedMinutes:  ret.EvictedMinutes,
 				Evictions:       ret.Evictions,
 				EvictionTotalMS: ret.EvictionTotalMS,
+				Reloads:         ret.Reloads,
+				ReloadTotalMS:   ret.ReloadTotalMS,
 			},
 			Durability: durabilityStatsJSON{
 				Enabled:         dur.Enabled,
@@ -727,6 +729,8 @@ type retentionStatsJSON struct {
 	EvictedMinutes  int     `json:"evictedMinutes"`
 	Evictions       int64   `json:"evictions"`
 	EvictionTotalMS float64 `json:"evictionTotalMs"`
+	Reloads         int64   `json:"reloads"`
+	ReloadTotalMS   float64 `json:"reloadTotalMs"`
 }
 
 type durabilityStatsJSON struct {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,14 +22,20 @@ import (
 // spilled to per-minute segment files and evicted: the profiles, the
 // minute's linked graph, and its caches all leave memory, and only the
 // identifier index keeps a 16-byte marker per evicted VP so duplicate
-// rejection still holds across the whole history. An investigation or
-// evidence lookup against an evicted minute transparently reloads the
-// segment. The segment carries the minute's viewlinks next to its
+// rejection still holds across the whole history. The store also
+// remembers the builder epoch each segment restores (Store.segments),
+// so a repeat investigation of an unchanged evicted minute is answered
+// from the verdict cache's report without touching the file. Any other
+// lookup against an evicted minute — the first investigation of a
+// (site, minute) at the segment's epoch, an uncached site, a per-VP
+// report, an evidence lookup, a late upload — transparently reloads
+// the segment. The segment carries the minute's viewlinks next to its
 // profiles, so a reload restores the graph the evicting shard held
-// instead of relinking every pair — the identical viewmap (the
-// evict-then-reload equality invariant, pinned by
+// instead of relinking every pair — the identical viewmap and epoch
+// (the evict-then-reload equality invariant, pinned by
 // TestEvictReloadEquality) — and reloaded cold minutes live in a small
-// LRU-bounded resident set of their own.
+// LRU-bounded resident set of their own. A segment that can no longer
+// be read, decoded or restored fails the reload with ErrDurability.
 //
 // Segment files are written with fsync before the in-memory shard is
 // dropped, so an evicted minute is always durable on its own: the
@@ -206,8 +213,10 @@ func (s *Store) evictShard(m int64) error {
 		if version > 0 {
 			// An empty shard (created for an in-flight burst that has
 			// not committed yet) has no segment file; registering one
-			// would poison later reloads of the minute.
-			s.segments[m] = true
+			// would poison later reloads of the minute. The slab did not
+			// grow since the segment was cut, so the builder epoch is the
+			// one the segment restores.
+			s.segments[m] = sh.builder.Epoch()
 		}
 		sh.mu.Unlock()
 		s.mu.Unlock()
@@ -400,7 +409,8 @@ func decodeSegment(m int64, data []byte) ([]*vp.Profile, [][]int, error) {
 // graph without relinking), the identifier index restored to live
 // pointers, and the restored shard installed as a cold resident.
 // Single-flight: concurrent cold queries for any evicted minute
-// serialize here, and the winner's shard is reused.
+// serialize here, and the winner's shard is reused. A segment that
+// cannot be read, decoded or restored fails with ErrDurability.
 func (s *Store) reloadSegment(m int64) (*minuteShard, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -408,19 +418,20 @@ func (s *Store) reloadSegment(m int64) (*minuteShard, error) {
 		return sh, nil
 	}
 	s.mu.RLock()
-	have := s.segments[m]
+	_, have := s.segments[m]
 	s.mu.RUnlock()
 	if !have {
 		return nil, fmt.Errorf("%w %d", ErrNoMinute, m)
 	}
+	start := time.Now()
 	profiles, links, err := s.readSegment(m)
 	if err != nil {
-		return nil, err
+		return nil, reloadFailed(m, err)
 	}
 	sh := s.newShard(m)
 	sh.cold = true
 	if err := sh.restore(profiles, links); err != nil {
-		return nil, fmt.Errorf("server: restoring segment %d: %w", m, err)
+		return nil, reloadFailed(m, fmt.Errorf("restoring the graph: %w", err))
 	}
 	for _, p := range profiles {
 		s.ids.Store(p.ID(), p)
@@ -438,6 +449,8 @@ func (s *Store) reloadSegment(m int64) (*minuteShard, error) {
 	}
 	s.shards[m] = sh
 	s.mu.Unlock()
+	s.reloads.Add(1)
+	s.reloadNS.Add(int64(time.Since(start)))
 	// Enforce the cold LRU bound immediately: a burst of cold queries
 	// must not grow residency until the next periodic sweep. The just-
 	// installed shard carries the newest touch stamp, so it is never
@@ -447,6 +460,18 @@ func (s *Store) reloadSegment(m int64) (*minuteShard, error) {
 		s.trimCold()
 	}
 	return sh, nil
+}
+
+// reloadFailed wraps a failed reload of minute m's segment as a
+// durability fault (HTTP 503). A failed read is reported by its cause
+// alone, so the message names the minute and the kind of failure but
+// not the server's segment path.
+func reloadFailed(m int64, err error) error {
+	var pe *fs.PathError
+	if errors.As(err, &pe) {
+		err = fmt.Errorf("reading segment: %s: %w", pe.Op, pe.Err)
+	}
+	return fmt.Errorf("%w: minute %d: segment reload failed: %w", ErrDurability, m, err)
 }
 
 // restore fills a new, unpublished shard with a segment's profiles and
@@ -506,18 +531,22 @@ func (s *Store) adoptSegments() (minutes int, err error) {
 		if _, err := fmt.Sscanf(e.Name(), "minute-%d.seg", &m); err != nil || e.Name() != segmentName(m) {
 			continue
 		}
-		resident := s.shard(m) != nil
-		s.mu.Lock()
-		s.segments[m] = true
-		s.mu.Unlock()
-		if resident {
+		if s.shard(m) != nil {
+			// The resident shard's eviction rewrites the segment and
+			// records its epoch.
+			s.mu.Lock()
+			s.segments[m] = 0
+			s.mu.Unlock()
 			minutes++
 			continue
 		}
-		profiles, _, err := s.readSegment(m)
+		profiles, links, err := s.readSegment(m)
 		if err != nil {
 			return minutes, err
 		}
+		s.mu.Lock()
+		s.segments[m] = uint64(len(links))
+		s.mu.Unlock()
 		for _, p := range profiles {
 			if _, dup := s.ids.LoadOrStore(p.ID(), evictedRef{minute: m}); dup {
 				continue
@@ -554,6 +583,11 @@ type RetentionStats struct {
 	// milliseconds.
 	Evictions       int64
 	EvictionTotalMS float64
+	// Reloads counts successful segment reloads this process lifetime;
+	// ReloadTotalMS is their cumulative wall time (read, decode, restore
+	// and install) in milliseconds.
+	Reloads       int64
+	ReloadTotalMS float64
 }
 
 // RetentionStatsSnapshot reads the current resident/evicted split.
@@ -564,6 +598,8 @@ func (s *Store) RetentionStatsSnapshot() RetentionStats {
 		ResidentMinutes: len(s.shards),
 		Evictions:       s.evictions.Load(),
 		EvictionTotalMS: float64(s.evictionNS.Load()) / float64(time.Millisecond),
+		Reloads:         s.reloads.Load(),
+		ReloadTotalMS:   float64(s.reloadNS.Load()) / float64(time.Millisecond),
 	}
 	for _, sh := range s.shards {
 		if sh.cold {

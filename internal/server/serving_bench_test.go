@@ -14,19 +14,17 @@ import (
 	"viewmap/internal/vp"
 )
 
-// benchInvestigate loads one warm minute through the batched wire path
-// and times serve over it: with it calling Investigate, the incremental
-// serving path (cache hit + cached verdict); with it rebuilding from
-// the stored profiles, the rebuild-per-request baseline the serving
-// benchmark compares against.
-func benchInvestigate(b *testing.B, serve func(sys *System, site geo.Rect) error) {
+// benchMinute builds a system over store and loads one 300-VP minute
+// through the batched wire path; it returns the system and the
+// investigation site.
+func benchMinute(b *testing.B, store StoreConfig) (*System, geo.Rect) {
 	area := geo.NewRect(geo.Pt(0, 0), geo.Pt(2000, 2000))
 	profiles, err := core.SynthesizeLegitimate(core.SynthConfig{N: 300, Area: area, Seed: 17})
 	if err != nil {
 		b.Fatal(err)
 	}
 	ti := core.MarkTrustedNearest(profiles, area.Center())
-	sys, err := NewSystem(Config{AuthorityToken: "tok", Bank: sharedBankInternal(b)})
+	sys, err := NewSystem(Config{AuthorityToken: "tok", Bank: sharedBankInternal(b), Store: store})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -42,7 +40,16 @@ func benchInvestigate(b *testing.B, serve func(sys *System, site geo.Rect) error
 	if _, err := sys.UploadVPBatch(vp.MarshalBatch(anon)); err != nil {
 		b.Fatal(err)
 	}
-	site := geo.RectAround(area.Center(), 300)
+	return sys, geo.RectAround(area.Center(), 300)
+}
+
+// benchInvestigate loads one warm minute (benchMinute) and times serve
+// over it: with it calling Investigate, the incremental serving path
+// (cache hit + cached verdict); with it rebuilding from the stored
+// profiles, the rebuild-per-request baseline the serving benchmark
+// compares against.
+func benchInvestigate(b *testing.B, serve func(sys *System, site geo.Rect) error) {
+	sys, site := benchMinute(b, StoreConfig{})
 	if err := serve(sys, site); err != nil {
 		b.Fatal(err)
 	}
@@ -62,6 +69,31 @@ func BenchmarkInvestigateWarmCached(b *testing.B) {
 		_, err := sys.Investigate("tok", site, 0)
 		return err
 	})
+}
+
+// BenchmarkInvestigateEvictedCached is a repeat investigation of an
+// evicted 300-VP minute whose report is cached: the verdict cache
+// answers it without reloading the segment. It fails if a reload
+// happens.
+func BenchmarkInvestigateEvictedCached(b *testing.B) {
+	sys, site := benchMinute(b, StoreConfig{SegmentDir: b.TempDir(), RetentionMinutes: 1})
+	defer sys.Close()
+	if _, err := sys.Investigate("tok", site, 0); err != nil {
+		b.Fatal(err)
+	}
+	if err := sys.Store().evictShard(0); err != nil {
+		b.Fatal(err)
+	}
+	reloads := sys.Store().RetentionStatsSnapshot().Reloads
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := sys.Investigate("tok", site, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if n := sys.Store().RetentionStatsSnapshot().Reloads - reloads; n != 0 {
+		b.Fatalf("the cached investigation reloaded the evicted minute %d times", n)
+	}
 }
 
 // BenchmarkInvestigateRebuildPerRequest is the pre-incremental

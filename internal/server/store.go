@@ -45,7 +45,10 @@ type Store struct {
 	shards map[int64]*minuteShard
 	// segments marks minutes with an on-disk segment file (see
 	// retention.go); a minute in segments but not in shards is evicted.
-	segments map[int64]bool
+	// Each value is the builder epoch of the graph the segment restores
+	// (its node count), recorded when the segment is written or adopted,
+	// so an evicted minute's epoch is known without a reload.
+	segments map[int64]uint64
 
 	// reloadMu single-flights segment reloads: cold queries are rare
 	// and a reload reads and restores a whole minute, so concurrent
@@ -105,6 +108,10 @@ type Store struct {
 	// cumulative wall time spent writing segments and dropping shards.
 	evictions  atomic.Int64
 	evictionNS atomic.Int64
+	// reloads counts successful segment reloads, reloadNS their
+	// cumulative wall time (read, decode, restore, install).
+	reloads  atomic.Int64
+	reloadNS atomic.Int64
 }
 
 // StoreConfig parameterizes the VP database.
@@ -200,7 +207,7 @@ func NewStoreWith(cfg StoreConfig) *Store {
 	s := &Store{
 		cfg:      cfg,
 		shards:   make(map[int64]*minuteShard),
-		segments: make(map[int64]bool),
+		segments: make(map[int64]uint64),
 	}
 	s.newestMinute.Store(noMinute)
 	return s
@@ -252,7 +259,7 @@ func (s *Store) ensureShard(m int64) (*minuteShard, error) {
 		return sh, nil
 	}
 	s.mu.RLock()
-	spilled := s.segments[m]
+	_, spilled := s.segments[m]
 	s.mu.RUnlock()
 	if spilled {
 		return s.reloadSegment(m)
@@ -432,7 +439,7 @@ func (s *Store) residentShard(m int64) (*minuteShard, error) {
 	sh := s.shard(m)
 	if sh == nil {
 		s.mu.RLock()
-		spilled := s.segments[m]
+		_, spilled := s.segments[m]
 		s.mu.RUnlock()
 		if !spilled {
 			return nil, nil
@@ -648,36 +655,37 @@ func (s *Store) MinuteEpoch(m int64) uint64 {
 // (SiteViewmap without the identity stamps, for callers that do not
 // cache verdicts).
 func (s *Store) ViewmapFor(site geo.Rect, minute int64) (*core.Viewmap, error) {
-	vm, _, _, err := s.SiteViewmap(site, minute)
+	vm, _, _, _, err := s.SiteViewmap(site, minute)
 	return vm, err
 }
 
 // SiteViewmap returns the viewmap for an investigation site and
 // minute, together with its content epoch and extraction generation
-// (see core.SiteView.Refresh). The minute's maintained graph is
-// already linked and each site keeps a patched induced subgraph, so a
-// repeated site pays only for the ingest delta since its last
-// extraction — zero when the minute's content around the site is
-// unchanged.
+// (see core.SiteView.Refresh) and the minute's builder epoch, read
+// under the same shard lock as the extraction. The minute's maintained
+// graph is already linked and each site keeps a patched induced
+// subgraph, so a repeated site pays only for the ingest delta since
+// its last extraction — zero when the minute's content around the site
+// is unchanged.
 //
 // The returned viewmap is immutable; later ingests produce new
 // viewmaps rather than mutating published ones, so callers may use it
 // without locking, concurrently with further uploads. A site with a NaN
 // or infinite coordinate is refused.
-func (s *Store) SiteViewmap(site geo.Rect, minute int64) (*core.Viewmap, uint64, uint64, error) {
+func (s *Store) SiteViewmap(site geo.Rect, minute int64) (vm *core.Viewmap, contentEpoch, gen, minuteEpoch uint64, err error) {
 	// The site keys the shard's cache, and a NaN key can never be found
 	// or evicted again; a site spanning an infinity has a NaN centre.
 	for _, v := range [4]float64{site.Min.X, site.Min.Y, site.Max.X, site.Max.Y} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, 0, 0, fmt.Errorf("server: site %v has a non-finite coordinate", site)
+			return nil, 0, 0, 0, fmt.Errorf("server: site %v has a non-finite coordinate", site)
 		}
 	}
 	sh, err := s.residentShard(minute)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, 0, 0, err
 	}
 	if sh == nil {
-		return nil, 0, 0, fmt.Errorf("%w %d", ErrNoMinute, minute)
+		return nil, 0, 0, 0, fmt.Errorf("%w %d", ErrNoMinute, minute)
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -701,7 +709,8 @@ func (s *Store) SiteViewmap(site geo.Rect, minute int64) (*core.Viewmap, uint64,
 	}
 	sh.cacheSeq++
 	e.used = sh.cacheSeq
-	return e.sv.Refresh()
+	vm, contentEpoch, gen, err = e.sv.Refresh()
+	return vm, contentEpoch, gen, sh.builder.Epoch(), err
 }
 
 // MinuteChange returns the minute's current builder epoch and a
@@ -711,11 +720,16 @@ func (s *Store) SiteViewmap(site geo.Rect, minute int64) (*core.Viewmap, uint64,
 // under, so a caller that reads (epoch, ch), then finds no fresh
 // content at that epoch, can safely block on ch: any later commit
 // closes it. A nil channel means the minute is not resident; callers
-// poll instead of blocking.
+// poll instead of blocking. For an evicted minute the epoch is the one
+// its segment restores, read without a reload; for a minute with
+// nothing stored it is zero.
 func (s *Store) MinuteChange(m int64) (uint64, <-chan struct{}) {
-	sh := s.shard(m)
+	s.mu.RLock()
+	sh := s.shards[m]
+	epoch := s.segments[m]
+	s.mu.RUnlock()
 	if sh == nil {
-		return 0, nil
+		return epoch, nil
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -53,15 +54,20 @@ type System struct {
 	// logs one structured line with its span breakdown; zero disables.
 	slowRequest time.Duration
 
-	// verdicts caches converged TrustRank verifications per investigated
-	// (site, minute). Entry identity is the extraction's content epoch
-	// (core.SiteView.Refresh): a deterministic function of the minute's
-	// graph, so a verdict survives viewmap re-extraction and even a
-	// segment evict/reload of the whole minute — the replayed minute
-	// reproduces the same content epochs bit for bit. When the content
-	// did change, the cached entry's converged score vector warm-starts
-	// the re-verification (verifiedSite). Bounded by verdictCacheMax
-	// with deterministic least-recently-used eviction (verdictSeq).
+	// verdicts caches converged TrustRank verifications, and the
+	// reports built from them, per investigated (site, minute). Entry
+	// identity is the extraction's content epoch (core.SiteView.Refresh):
+	// a deterministic function of the minute's graph, so a verdict
+	// survives viewmap re-extraction and even a segment evict/reload of
+	// the whole minute — the replayed minute reproduces the same content
+	// epochs bit for bit. Each entry is also stamped with the minute's
+	// builder epoch, which investigateAt compares before it touches the
+	// minute: an equal builder epoch means an identical graph, so the
+	// cached report answers without a segment reload or an extraction.
+	// When the content did change, the cached entry's converged score
+	// vector warm-starts the re-verification (verifiedSite). Bounded by
+	// verdictCacheMax with deterministic least-recently-used eviction
+	// (verdictSeq).
 	verdictMu  sync.Mutex
 	verdicts   map[investigationKey]*verdictEntry
 	verdictSeq uint64
@@ -80,10 +86,18 @@ type verdictEntry struct {
 	// warm-starts later verifications only within the same generation,
 	// whose node-id space extends the scored one as a prefix).
 	epoch, gen uint64
-	// members is the scored viewmap's size, the gauge for the
-	// perturbation cutoff (warmGrowthMax) on later warm starts.
-	members int
-	verdict *core.Verdict
+	// minuteEpoch is the minute's builder epoch at which report was
+	// last confirmed: set when the verdict is scored, and raised by a
+	// content-epoch hit at a later builder epoch (ingest outside the
+	// site's coverage). A verified entry's is at least 1, because a
+	// verdict needs a linked trusted VP.
+	minuteEpoch uint64
+	verdict     *core.Verdict
+	// report is the investigation report of the scored extraction. Like
+	// the verdict it depends only on the content epoch; its Members is
+	// the gauge for the perturbation cutoff (warmGrowthMax) on later
+	// warm starts. Callers get copies of its Legitimate slice.
+	report InvestigationReport
 	// used is the recency stamp (verdictSeq at last hit) the LRU
 	// eviction orders by.
 	used uint64
@@ -192,11 +206,13 @@ func NewSystem(cfg Config) (*System, error) {
 	// the system's registry.
 	store.metrics = sys.metrics
 	sys.overload.metrics = sys.metrics
-	// Verdict cache entries deliberately outlive shard eviction: they
-	// are keyed by content epoch, which a segment reload reproduces bit
-	// for bit (the evict-then-reload equality invariant), so a cold
-	// query against an evicted minute reuses its verdicts instead of
-	// re-running TrustRank.
+	// Verdict cache entries deliberately outlive shard eviction: their
+	// builder-epoch stamp is recorded with the minute's segment, so a
+	// repeat query against an unchanged evicted minute is answered from
+	// the cache without reloading it; and they are keyed by content
+	// epoch, which a segment reload reproduces bit for bit (the
+	// evict-then-reload equality invariant), so a reloaded minute reuses
+	// its verdicts instead of re-running TrustRank.
 	// Board and bank mutations journal through the system; no-ops
 	// until OpenDurable attaches a WAL.
 	ev.SetJournal(sys)
@@ -429,9 +445,10 @@ type InvestigationReport struct {
 
 // Investigate fetches (or, on first sight of the site, extracts from
 // the minute's incrementally maintained graph) the viewmap for an
-// incident minute and site and verifies it with TrustRank. It is
-// read-only: soliciting the legitimate VPs' videos is OpenSolicitation's
-// job. Authority only.
+// incident minute and site and verifies it with TrustRank; a repeat
+// investigation of an unchanged minute is answered from the verdict
+// cache, even when the minute is evicted. It is read-only: soliciting
+// the legitimate VPs' videos is OpenSolicitation's job. Authority only.
 func (sys *System) Investigate(token string, site geo.Rect, minute int64) (*InvestigationReport, error) {
 	if err := sys.checkAuthority(token); err != nil {
 		return nil, err
@@ -442,31 +459,45 @@ func (sys *System) Investigate(token string, site geo.Rect, minute int64) (*Inve
 
 // verify extracts the viewmap for (site, minute) from the minute's
 // incrementally maintained graph and verifies it with TrustRank. It
-// also returns the extraction's content epoch — the identity the watch
-// endpoint dedups and resumes on.
-func (sys *System) verify(site geo.Rect, minute int64) (*core.Viewmap, *core.Verdict, uint64, error) {
-	vm, epoch, gen, err := sys.store.SiteViewmap(site, minute)
+// also returns the verdict's report, whose Legitimate slice is the
+// cache's and must not be handed out, and the extraction's content
+// epoch — the identity the watch endpoint dedups and resumes on.
+func (sys *System) verify(site geo.Rect, minute int64) (*core.Viewmap, *core.Verdict, InvestigationReport, uint64, error) {
+	vm, epoch, gen, minuteEpoch, err := sys.store.SiteViewmap(site, minute)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, InvestigationReport{}, 0, err
 	}
-	verdict, err := sys.verifiedSite(vm, epoch, gen, site, minute)
-	return vm, verdict, epoch, err
+	verdict, report, err := sys.verifiedSite(vm, epoch, gen, minuteEpoch, site, minute)
+	return vm, verdict, report, epoch, err
 }
 
-// investigateAt verifies (site, minute) and builds the report, with
-// the extraction's content epoch.
+// investigateAt verifies (site, minute) and returns a copy of its
+// report, with the extraction's content epoch. While the minute's
+// builder epoch, read without a reload, equals the cached entry's
+// stamp, the graph is the one the entry's report came from, so the
+// report is answered from the cache whether the minute is resident or
+// evicted: no segment reload, no extraction, no verification.
 func (sys *System) investigateAt(site geo.Rect, minute int64) (*InvestigationReport, uint64, error) {
-	vm, verdict, epoch, err := sys.verify(site, minute)
-	if err != nil {
-		return nil, 0, err
+	now, _ := sys.store.MinuteChange(minute)
+	var report InvestigationReport
+	var epoch uint64
+	sys.verdictMu.Lock()
+	e := sys.verdicts[investigationKey{site: site, minute: minute}]
+	hit := e != nil && e.minuteEpoch == now
+	if hit {
+		sys.verdictSeq++
+		e.used = sys.verdictSeq
+		report, epoch = e.report, e.epoch
 	}
-	return &InvestigationReport{
-		Minute:     minute,
-		Members:    vm.Len(),
-		Edges:      vm.NumEdges(),
-		InSite:     len(vm.InSite(site)),
-		Legitimate: verdict.LegitimateIDs(vm),
-	}, epoch, nil
+	sys.verdictMu.Unlock()
+	if !hit {
+		var err error
+		if _, _, report, epoch, err = sys.verify(site, minute); err != nil {
+			return nil, 0, err
+		}
+	}
+	report.Legitimate = slices.Clone(report.Legitimate)
+	return &report, epoch, nil
 }
 
 // InvestigateSnapshot verifies (site, minute) like Investigate and
@@ -516,20 +547,14 @@ func (sys *System) InvestigateReport(token string, site geo.Rect, minute int64) 
 	if err := sys.checkAuthority(token); err != nil {
 		return nil, err
 	}
-	vm, verdict, _, err := sys.verify(site, minute)
+	vm, verdict, summary, _, err := sys.verify(site, minute)
 	if err != nil {
 		return nil, err
 	}
-	inSite := vm.InSite(site)
+	summary.Legitimate = slices.Clone(summary.Legitimate)
 	report := &FullReport{
-		InvestigationReport: InvestigationReport{
-			Minute:     minute,
-			Members:    vm.Len(),
-			Edges:      vm.NumEdges(),
-			InSite:     len(inSite),
-			Legitimate: verdict.LegitimateIDs(vm),
-		},
-		Verdicts: make([]VPVerdict, vm.Len()),
+		InvestigationReport: summary,
+		Verdicts:            make([]VPVerdict, vm.Len()),
 	}
 	hops := vm.HopsFromTrusted()
 	for i, p := range vm.Profiles {
@@ -539,7 +564,7 @@ func (sys *System) InvestigateReport(token string, site geo.Rect, minute int64) 
 			Hops:    hops[i],
 		}
 	}
-	for _, i := range inSite {
+	for _, i := range vm.InSite(site) {
 		report.Verdicts[i].InSite = true
 	}
 	for _, i := range verdict.Legitimate {
@@ -553,38 +578,50 @@ func (sys *System) InvestigateReport(token string, site geo.Rect, minute int64) 
 	return report, nil
 }
 
-// verifiedSite returns the TrustRank verdict for a viewmap and site,
-// given the extraction's content epoch and generation (SiteViewmap).
-// A cached verdict for the same content epoch is reused outright — the
-// verdict is a deterministic function of the graph content, so this
-// holds across viewmap re-extraction and across a segment evict/reload
-// of the minute. When the content advanced, the cached entry's
-// converged score vector warm-starts the re-verification (same
-// generation only, and only within the warmGrowthMax perturbation
-// cutoff); core.VerifySiteFrom certifies the warm verdict equal to the
-// cold one or falls back internally.
-func (sys *System) verifiedSite(vm *core.Viewmap, epoch, gen uint64, site geo.Rect, minute int64) (*core.Verdict, error) {
+// verifiedSite returns the TrustRank verdict and the report for a
+// viewmap and site, given the extraction's content epoch and
+// generation and the minute's builder epoch (SiteViewmap). A cached
+// entry for the same content epoch is reused outright, and its
+// builder-epoch stamp raised to minuteEpoch — the verdict and report
+// are deterministic functions of the graph content, so this holds
+// across viewmap re-extraction and across a segment evict/reload of
+// the minute. When the content advanced, the cached entry's converged
+// score vector warm-starts the re-verification (same generation only,
+// and only within the warmGrowthMax perturbation cutoff);
+// core.VerifySiteFrom certifies the warm verdict equal to the cold one
+// or falls back internally. The report's Legitimate slice is the
+// cache's.
+func (sys *System) verifiedSite(vm *core.Viewmap, epoch, gen, minuteEpoch uint64, site geo.Rect, minute int64) (*core.Verdict, InvestigationReport, error) {
 	key := investigationKey{site: site, minute: minute}
 	sys.verdictMu.Lock()
 	e := sys.verdicts[key]
 	if e != nil && e.epoch == epoch {
 		sys.verdictSeq++
 		e.used = sys.verdictSeq
-		verdict := e.verdict
+		e.minuteEpoch = max(e.minuteEpoch, minuteEpoch)
+		verdict, report := e.verdict, e.report
 		sys.verdictMu.Unlock()
-		return verdict, nil
+		return verdict, report, nil
 	}
 	var prev []float64
-	if e != nil && e.gen == gen && vm.Len() <= e.members*warmGrowthMax {
+	if e != nil && e.gen == gen && vm.Len() <= e.report.Members*warmGrowthMax {
 		prev = e.verdict.Scores
 	}
 	sys.verdictMu.Unlock()
 
-	verdict, stats, err := vm.VerifySiteFrom(vm.InSite(site), prev, core.TrustRankConfig{})
+	inSite := vm.InSite(site)
+	verdict, stats, err := vm.VerifySiteFrom(inSite, prev, core.TrustRankConfig{})
 	if err != nil {
-		return nil, err
+		return nil, InvestigationReport{}, err
 	}
 	sys.noteTrustRank(stats)
+	report := InvestigationReport{
+		Minute:     minute,
+		Members:    vm.Len(),
+		Edges:      vm.NumEdges(),
+		InSite:     len(inSite),
+		Legitimate: verdict.LegitimateIDs(vm),
+	}
 	sys.verdictMu.Lock()
 	if sys.verdicts[key] == nil && len(sys.verdicts) >= verdictCacheMax {
 		// Deterministic LRU: evict the entry with the oldest recency
@@ -601,11 +638,11 @@ func (sys *System) verifiedSite(vm *core.Viewmap, epoch, gen uint64, site geo.Re
 	}
 	sys.verdictSeq++
 	sys.verdicts[key] = &verdictEntry{
-		epoch: epoch, gen: gen, members: vm.Len(),
-		verdict: verdict, used: sys.verdictSeq,
+		epoch: epoch, gen: gen, minuteEpoch: minuteEpoch,
+		verdict: verdict, report: report, used: sys.verdictSeq,
 	}
 	sys.verdictMu.Unlock()
-	return verdict, nil
+	return verdict, report, nil
 }
 
 // noteTrustRank records one verification's convergence into the
@@ -659,11 +696,15 @@ func (sys *System) InvestigatePeriod(token string, site geo.Rect, firstMinute, l
 	if lastMinute < firstMinute {
 		return nil, fmt.Errorf("server: empty period %d..%d", firstMinute, lastMinute)
 	}
-	if lastMinute-firstMinute+1 > 60 {
-		return nil, fmt.Errorf("server: period of %d minutes exceeds the 60-minute cap", lastMinute-firstMinute+1)
+	// The span in uint64 cannot overflow, and the loop counts offsets,
+	// so a period ending at math.MaxInt64 ends too.
+	span := uint64(lastMinute) - uint64(firstMinute)
+	if span >= 60 {
+		return nil, fmt.Errorf("server: period %d..%d exceeds the 60-minute cap", firstMinute, lastMinute)
 	}
-	reports := make([]*InvestigationReport, 0, lastMinute-firstMinute+1)
-	for m := firstMinute; m <= lastMinute; m++ {
+	reports := make([]*InvestigationReport, 0, span+1)
+	for off := uint64(0); off <= span; off++ {
+		m := firstMinute + int64(off)
 		r, err := sys.Investigate(token, site, m)
 		switch {
 		case err == nil:
@@ -706,20 +747,21 @@ func (sys *System) OpenSolicitation(token string, site geo.Rect, minute int64, u
 	if err := sys.checkAuthority(token); err != nil {
 		return nil, err
 	}
-	vm, verdict, _, err := sys.verify(site, minute)
+	// investigateAt hands out its own copy of the Legitimate slice,
+	// which the board may keep.
+	report, _, err := sys.investigateAt(site, minute)
 	if err != nil {
 		return nil, err
 	}
-	legit := verdict.LegitimateIDs(vm)
-	res, err := sys.evidence.Open(site, minute, legit, units)
+	res, err := sys.evidence.Open(site, minute, report.Legitimate, units)
 	if err != nil {
 		return nil, err
 	}
 	return &SolicitationReport{
 		Minute:      minute,
-		Members:     vm.Len(),
-		InSite:      len(vm.InSite(site)),
-		Legitimate:  legit,
+		Members:     report.Members,
+		InSite:      report.InSite,
+		Legitimate:  report.Legitimate,
 		Listed:      res.Listed,
 		NewlyListed: res.NewlyListed,
 		Units:       res.Units,
