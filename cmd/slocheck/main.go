@@ -1,8 +1,8 @@
 // Command slocheck is the per-commit SLO regression gate: it compares
 // a candidate scenario SLO report (a fresh `viewmap-bench -run
 // scenario -json` artifact) against the committed baseline
-// (BENCH_scenario.json) and exits non-zero if any endpoint's p99
-// regressed beyond the tolerance band.
+// (BENCH_scenario.json) and exits non-zero if the served verdicts
+// changed or any endpoint's p99 regressed beyond the tolerance band.
 //
 // Usage:
 //
@@ -15,12 +15,17 @@
 // violated a scenario-internal SLO. The floor keeps microsecond-scale
 // baselines (investigate, evidence poll) from failing on scheduler
 // jitter alone; the ratio catches order-of-magnitude regressions on
-// every class. Baselines that carry fault-family summaries (the
-// "families" array) extend the gate: each family's upload/investigate
-// p99 rides the same band, and a family that disappears, loses acked
-// data, or whose engagement counters (crashes, stale rejects,
-// partition rejects, cold probes, watch reports) drop to zero fails
-// the build outright. See docs/observability.md for the workflow.
+// every class. The probe digest (a SHA-256 over every final-pass
+// verdict) must equal the baseline's, for the main run and for each
+// fault family in both reports: the scenario is deterministic, so a
+// different digest means the served verdicts changed. Baselines that
+// carry fault-family summaries (the "families" array) extend the
+// gate: each family's upload/investigate p99 rides the same band, and
+// a family that disappears, loses acked data, or whose engagement
+// counters (crashes, stale rejects, partition rejects, cold probes,
+// watch reports) drop to zero fails the build outright. A deliberate
+// change of verdicts or latencies regenerates the baseline. See
+// docs/observability.md for the workflow.
 package main
 
 import (
@@ -128,7 +133,7 @@ func candFamily(r *sim.ScenarioResult, name string) (sim.FamilySummary, bool) {
 
 // compareReports returns every way the candidate fails the gate:
 // structural invariants first (acked loss, scenario-internal SLO
-// violations), then per-class p99 regressions beyond
+// violations, probe digests), then per-class p99 regressions beyond
 // baseline*maxRatio+floorMS.
 func compareReports(base, cand *sim.ScenarioResult, maxRatio, floorMS float64) []string {
 	var out []string
@@ -137,6 +142,9 @@ func compareReports(base, cand *sim.ScenarioResult, maxRatio, floorMS float64) [
 	}
 	for _, v := range cand.Violations {
 		out = append(out, "candidate scenario SLO violation: "+v)
+	}
+	if d := digestChange("scenario", base.ProbeDigest, cand.ProbeDigest); d != "" {
+		out = append(out, d)
 	}
 	// Fault families present in the baseline must stay present, keep
 	// zero acked loss, and keep engaging their fault: a counter the
@@ -151,6 +159,9 @@ func compareReports(base, cand *sim.ScenarioResult, maxRatio, floorMS float64) [
 		}
 		if !cf.ZeroAckedLoss {
 			out = append(out, fmt.Sprintf("fault family %s lost acknowledged data", bf.Name))
+		}
+		if d := digestChange("fault family "+bf.Name, bf.ProbeDigest, cf.ProbeDigest); d != "" {
+			out = append(out, d)
 		}
 		engaged := []struct {
 			what       string
@@ -180,4 +191,13 @@ func compareReports(base, cand *sim.ScenarioResult, maxRatio, floorMS float64) [
 		}
 	}
 	return out
+}
+
+// digestChange names a probe-digest mismatch against a non-empty
+// baseline digest, or returns "" when the digests agree.
+func digestChange(run, base, cand string) string {
+	if base == "" || cand == base {
+		return ""
+	}
+	return fmt.Sprintf("%s probe digest %s differs from baseline %s: the served verdicts changed", run, cand, base)
 }

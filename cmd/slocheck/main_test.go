@@ -155,3 +155,33 @@ func TestCompareServerSideGatesOnlyWithBaseline(t *testing.T) {
 		t.Fatalf("server-side regression not gated: %v", v)
 	}
 }
+
+func TestCompareProbeDigests(t *testing.T) {
+	const a = "4234f36cd0f06d7d433ee4c208229bbb5b3c561da58c739857ced47179a52899"
+	const b = "0e9f79fcd369d504c40e101bddb492a71a75f213f7ab70e9b6acbfe2bb6ef1b0"
+	withDigests := func(run, family string) *sim.ScenarioResult {
+		r := gateBaseline()
+		r.ProbeDigest = run
+		f := familyBaseline()
+		f.ProbeDigest = family
+		r.Families = []sim.FamilySummary{f}
+		return r
+	}
+	base := withDigests(a, b)
+
+	if v := compareReports(base, withDigests(a, b), 3.0, 50); len(v) != 0 {
+		t.Fatalf("equal digests flagged: %v", v)
+	}
+	v := compareReports(base, withDigests(b, b), 3.0, 50)
+	if len(v) != 1 || !strings.Contains(v[0], "scenario probe digest") {
+		t.Fatalf("main-run digest mismatch: %v", v)
+	}
+	v = compareReports(base, withDigests(a, a), 3.0, 50)
+	if len(v) != 1 || !strings.Contains(v[0], "fault family crash probe digest") {
+		t.Fatalf("family digest mismatch: %v", v)
+	}
+	// A baseline without digests predates them and gates nothing.
+	if v := compareReports(withDigests("", ""), withDigests(a, b), 3.0, 50); len(v) != 0 {
+		t.Fatalf("digest gated against an empty baseline: %v", v)
+	}
+}

@@ -30,17 +30,21 @@ type experiment struct {
 	run  func(scale string, seed int64) error
 }
 
-// jsonOut, when set via -json, is where experiments that support a
-// machine-readable result (ingest-saturation, scenario) write it.
+// jsonOut, when set via -json, is where the scenario experiment
+// writes its SLO report.
 var jsonOut string
 
 func main() {
-	runName := flag.String("run", "all", "experiment to run (all, ablation, serving, reverify, evidence, attack-serving, ingest-saturation, scenario, scenario-faults, table1, fig8, fig9, fig10, fig11, fig12, fig13, fig14, fig15, fig16, fig17, table2, fig20, fig21, fig22ab, fig22c, fig22d, fig22e, fig22f, overhead)")
+	names := []string{"all"}
+	for _, ex := range experiments() {
+		names = append(names, ex.name)
+	}
+	runName := flag.String("run", "all", "experiment to run ("+strings.Join(names, ", ")+")")
 	scale := flag.String("scale", "quick", "quick or full")
 	seed := flag.Int64("seed", 42, "base random seed")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile after the selected experiments to this file")
-	flag.StringVar(&jsonOut, "json", "", "write the machine-readable result (ingest-saturation, scenario) to this file")
+	flag.StringVar(&jsonOut, "json", "", "write the scenario SLO report to this file")
 	flag.Parse()
 	if *scale != "quick" && *scale != "full" {
 		fmt.Fprintln(os.Stderr, "scale must be quick or full")
@@ -118,13 +122,8 @@ func experiments() []experiment {
 		{"fig22e", "city-scale concentration attacks", runFig22E},
 		{"fig22f", "viewmap member VP percentage", runFig22F},
 		{"overhead", "VD/VP communication and storage overhead", runOverhead},
-		{"serving", "sustained-ingest serving: cached viewmaps vs rebuild-per-request (not in the paper)", runServing},
-		{"reverify", "post-flood re-verification: warm-started TrustRank vs cold recompute, equality-gated (not in the paper)", runReverify},
-		{"ingest-saturation", "burst-pipeline ingest saturation: VPs/s, ack latency, allocs/record (not in the paper)", runIngestSaturation},
-		{"metrics-overhead", "observability overhead smoke: ingest saturation with metrics on vs off, fails beyond 5% (not in the paper)", runMetricsOverhead},
 		{"evidence", "evidence pipeline: solicit, anonymous deliver + cascade verify, payout, blurred release (not in the paper)", runEvidence},
 		{"attack-serving", "online attack campaigns through the live HTTP serving path, cross-checked offline (not in the paper)", runAttackServing},
-		{"continuous", "durable continuous operation: ingest WAL, snapshots, retention, mid-run crash+recover (not in the paper)", runContinuous},
 		{"scenario", "city-scale scenario: multi-city fault-injected workload with SLO report and baseline cross-check (not in the paper)", runScenario},
 		{"scenario-faults", "fault families: crash-and-recover, clock skew, asymmetric partitions, long-horizon retention — each bit-for-bit against an unfaulted baseline (not in the paper)", runScenarioFaults},
 		{"ablation", "damping and guard-alpha ablations (not in the paper)", runAblation},
@@ -397,145 +396,6 @@ func runOverhead(string, int64) error {
 	return nil
 }
 
-func runServing(scale string, seed int64) error {
-	res, err := sim.Serving(sim.ServingConfig{
-		VehiclesPerMinute: pick(scale, 200, 1000),
-		Minutes:           pick(scale, 2, 5),
-		BatchSize:         64,
-		WarmRequests:      pick(scale, 20, 100),
-		Seed:              seed,
-	})
-	if err != nil {
-		return err
-	}
-	for _, r := range res.Rows() {
-		fmt.Println(r)
-	}
-	return nil
-}
-
-func runReverify(scale string, seed int64) error {
-	res, err := sim.Reverify(sim.ReverifyConfig{
-		Vehicles:     pick(scale, 220, 1000),
-		Waves:        pick(scale, 4, 10),
-		FakesPerWave: pick(scale, 40, 120),
-		BatchSize:    64,
-		Seed:         seed,
-	})
-	if err != nil {
-		return err
-	}
-	for _, r := range res.Rows() {
-		fmt.Println(r)
-	}
-	return nil
-}
-
-func runIngestSaturation(scale string, seed int64) error {
-	// Headline config: 100 vehicles/min in the 2x2 km area (avg viewmap
-	// degree ~26). Per-VP ingest cost grows with the minute's viewlink
-	// density — every accepted edge is enumerated and Bloom-probed — so
-	// the full scale adds a density sweep instead of one bigger number.
-	headline := sim.SaturationConfig{
-		VehiclesPerMinute: 100,
-		Minutes:           12,
-		BatchSize:         64,
-		Uploaders:         4,
-		Seed:              seed,
-	}
-	res, err := sim.Saturation(headline)
-	if err != nil {
-		return err
-	}
-	for _, r := range res.Rows() {
-		fmt.Println(r)
-	}
-	if jsonOut != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("baseline written to %s\n", jsonOut)
-	}
-	if scale == "full" {
-		for _, vpm := range []int{200, 400} {
-			cfg := headline
-			cfg.VehiclesPerMinute = vpm
-			dres, err := sim.Saturation(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("density %d/min: %.0f VPs/s, p99 ack %.0f us, %d members / %d edges\n",
-				vpm, dres.VPsPerSec, dres.P99AckUS, dres.SpotMembers, dres.SpotEdges)
-		}
-	}
-	// A durable pass at the headline load: every acknowledged batch
-	// waited for a group-committed fsync, so the delta against the rows
-	// above is the journal's cost.
-	dcfg := headline
-	dcfg.Durable = true
-	dres, err := sim.Saturation(dcfg)
-	if err != nil {
-		return err
-	}
-	for _, r := range dres.Rows() {
-		fmt.Println(r)
-	}
-	return nil
-}
-
-// runMetricsOverhead is the observability overhead smoke: the same
-// ingest-saturation load with the metrics registry on (the default)
-// and off (the no-op baseline), best-of-N each to shave scheduler
-// noise. The histograms are two atomic adds per sample, so the two
-// numbers should be indistinguishable; the run fails if metrics-on
-// throughput drops more than 5% below metrics-off.
-func runMetricsOverhead(scale string, seed int64) error {
-	cfg := sim.SaturationConfig{
-		VehiclesPerMinute: 100,
-		Minutes:           pick(scale, 6, 12),
-		BatchSize:         64,
-		Uploaders:         4,
-		Seed:              seed,
-	}
-	trials := pick(scale, 3, 5)
-	best := func(disable bool) (float64, error) {
-		c := cfg
-		c.DisableMetrics = disable
-		var top float64
-		for i := 0; i < trials; i++ {
-			res, err := sim.Saturation(c)
-			if err != nil {
-				return 0, err
-			}
-			if res.VPsPerSec > top {
-				top = res.VPsPerSec
-			}
-		}
-		return top, nil
-	}
-	offBest, err := best(true)
-	if err != nil {
-		return err
-	}
-	onBest, err := best(false)
-	if err != nil {
-		return err
-	}
-	ratio := onBest / offBest
-	fmt.Printf("metrics off: %.0f VPs/s (best of %d)\n", offBest, trials)
-	fmt.Printf("metrics on:  %.0f VPs/s (best of %d)\n", onBest, trials)
-	fmt.Printf("ratio: %.3f (floor 0.950)\n", ratio)
-	if ratio < 0.95 {
-		return fmt.Errorf("metrics overhead: on/off throughput ratio %.3f below 0.95", ratio)
-	}
-	fmt.Println("observability overhead within budget")
-	return nil
-}
-
 func runEvidence(scale string, seed int64) error {
 	res, err := sim.Evidence(sim.EvidenceConfig{
 		Convoys:            pick(scale, 4, 12),
@@ -563,24 +423,6 @@ func runAttackServing(scale string, seed int64) error {
 		SweepRuns: pick(scale, 1, 10),
 		SweepPcts: []int{100, 300, 500},
 		Seed:      seed,
-	})
-	if err != nil {
-		return err
-	}
-	for _, r := range res.Rows() {
-		fmt.Println(r)
-	}
-	return nil
-}
-
-func runContinuous(scale string, seed int64) error {
-	res, err := sim.Continuous(sim.ContinuousConfig{
-		Vehicles:         pick(scale, 20, 120),
-		Minutes:          pick(scale, 8, 120), // full scale: two simulated hours
-		RetentionMinutes: pick(scale, 3, 5),
-		BatchSize:        32,
-		SnapshotEvery:    pick(scale, 3, 10),
-		Seed:             seed,
 	})
 	if err != nil {
 		return err
@@ -648,16 +490,6 @@ func runScenarioFaults(scale string, seed int64) error {
 			f.Name, f.ProbesCompared, f.Upload.P99MS, f.Investigate.P99MS)
 		fmt.Printf("  crashes %d (WAL records replayed %d), stale rejected %d, partition rejects %d, cold probes %d, watch reports %d\n",
 			f.Crashes, f.WALReplayed, f.StaleRejectedVPs, f.PartitionRejects, f.ColdProbes, f.WatchReports)
-	}
-	if jsonOut != "" {
-		data, err := json.MarshalIndent(fams, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("family report written to %s\n", jsonOut)
 	}
 	return nil
 }

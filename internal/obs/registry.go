@@ -79,7 +79,7 @@ const (
 // a read-only map access or array index, never a lock or an
 // allocation. A nil or disabled registry hands out nil histograms,
 // whose Record is a nil-check no-op; that is the "metrics off"
-// configuration the overhead smoke compares against.
+// configuration.
 type Registry struct {
 	enabled   bool
 	endpoints map[string]*Histogram

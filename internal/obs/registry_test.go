@@ -66,6 +66,30 @@ func TestRegistryDisabled(t *testing.T) {
 	}
 }
 
+// TestRecordPathAllocFree: recording allocates nothing, whether
+// metrics are off (a nil histogram) or on (each record-path accessor
+// of an enabled registry, including the "other" endpoint fallback).
+func TestRecordPathAllocFree(t *testing.T) {
+	r := NewRegistry(true, []string{"/v1/vp/batch"}, []string{"ingest"})
+	var off *Histogram
+	for _, c := range []struct {
+		name   string
+		record func()
+	}{
+		{"nil histogram", func() { off.Record(5) }},
+		{"known endpoint", func() { r.Endpoint("/v1/vp/batch").Record(5) }},
+		{"unknown endpoint", func() { r.Endpoint("/v1/unknown").Record(5) }},
+		{"stage", func() { r.Stage(StageFsync).Record(5) }},
+		{"wal batch", func() { r.WALBatch().Record(5) }},
+		{"queue depth", func() { r.QueueDepth("ingest").Record(5) }},
+		{"trustrank", func() { r.TrustRank(TrustRankWarm).Record(5) }},
+	} {
+		if n := testing.AllocsPerRun(100, c.record); n != 0 {
+			t.Errorf("%s: %v allocations per record, want 0", c.name, n)
+		}
+	}
+}
+
 // TestTraceSpansAndContext covers the trace lifecycle: minting,
 // context round-trip, concurrent-safe span accumulation, and the
 // slow-log rendering order.

@@ -279,7 +279,7 @@ func (sys *System) loadSnapshot(path string) (lsn uint64, ok bool, err error) {
 // every WAL record up to the barrier LSN — to the snapshot path (temp
 // file, fsync, atomic rename), then truncates the WAL through that
 // LSN. The snapshotter calls this on its interval; tests and the
-// continuous workload call it directly.
+// scenario engine call it directly.
 func (sys *System) Checkpoint() error {
 	if sys.wal == nil {
 		return errors.New("server: system is not durable")
@@ -406,7 +406,7 @@ func (sys *System) Close() error {
 // file handle is closed without flushing — acknowledged records are on
 // disk (every ack waited for its fsync), unacknowledged buffered ones
 // vanish. No final snapshot is written. Recovery tests and the
-// continuous workload restart from the same directory afterwards.
+// scenario engine restart from the same directory afterwards.
 func (sys *System) Abort() {
 	if sys.wal == nil {
 		return

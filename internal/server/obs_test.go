@@ -154,9 +154,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabled: with Config.DisableMetrics the exposition
-// renders no series and the stats latency block stays empty — the
-// configuration the overhead smoke benchmarks as the no-op baseline.
+// TestMetricsDisabled: with Config.DisableMetrics (viewmap-server
+// -no-metrics) the exposition renders no series and the stats latency
+// block stays empty.
 func TestMetricsDisabled(t *testing.T) {
 	sys, err := NewSystem(Config{AuthorityToken: "t", Bank: durBank(t), DisableMetrics: true})
 	if err != nil {

@@ -95,7 +95,7 @@ func (s *Store) residentColdCap() int {
 // ApplyRetention spills and evicts every resident shard older than the
 // horizon (the newest ingested minute minus RetentionMinutes), then
 // trims the cold resident set down to its LRU bound. The durability
-// runtime calls this periodically; tests and the continuous workload
+// runtime calls this periodically; tests and the scenario engine
 // call it directly. It returns how many shards were evicted.
 func (s *Store) ApplyRetention() (int, error) {
 	if !s.RetentionEnabled() {

@@ -46,8 +46,7 @@ func benchMinute(b *testing.B, store StoreConfig) (*System, geo.Rect) {
 // benchInvestigate loads one warm minute (benchMinute) and times serve
 // over it: with it calling Investigate, the incremental serving path
 // (cache hit + cached verdict); with it rebuilding from the stored
-// profiles, the rebuild-per-request baseline the serving benchmark
-// compares against.
+// profiles, the rebuild-per-request baseline.
 func benchInvestigate(b *testing.B, serve func(sys *System, site geo.Rect) error) {
 	sys, site := benchMinute(b, StoreConfig{})
 	if err := serve(sys, site); err != nil {

@@ -134,8 +134,7 @@ type Config struct {
 	Overload OverloadConfig
 	// DisableMetrics turns the observability registry into a no-op:
 	// every histogram access returns nil and the record path reduces
-	// to a nil check. The overhead smoke (viewmap-bench -run
-	// metrics-overhead) compares this path against the default.
+	// to a nil check (viewmap-server -no-metrics).
 	DisableMetrics bool
 	// SlowRequest is the tracing threshold: a request slower than this
 	// emits one structured log line with its per-stage span breakdown.

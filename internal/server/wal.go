@@ -479,7 +479,7 @@ func (w *wal) Close() error {
 }
 
 // abort closes the log file without flushing buffered records — the
-// crash simulation used by recovery tests and the continuous workload.
+// crash simulation used by recovery tests and the scenario engine.
 // Acknowledged (synced) records are on disk; buffered ones vanish,
 // exactly as in a real crash.
 func (w *wal) abort() {

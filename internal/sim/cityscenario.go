@@ -22,6 +22,7 @@ import (
 	"viewmap/internal/client"
 	"viewmap/internal/core"
 	"viewmap/internal/geo"
+	"viewmap/internal/reward"
 	"viewmap/internal/server"
 	"viewmap/internal/vd"
 	"viewmap/internal/vp"
@@ -38,11 +39,11 @@ import (
 // skew against the wall-clock admission window, and per-endpoint-class
 // partitions (evidence board, investigations, uploads) — and layers
 // correlated evidence-demand spikes after incidents. The run is graded
-// like Continuous, but through the full stack: every upload, probe,
-// and board poll traverses a real httptest server, the client's onion
-// circuits, and the server's admission gates, and every probe's
-// per-VP verdicts must be bit-for-bit identical to an unfaulted,
-// always-resident, in-memory baseline fed exactly the same profiles.
+// through the full stack: every upload, probe, and board poll
+// traverses a real httptest server, the client's onion circuits, and
+// the server's admission gates, and every probe's per-VP verdicts
+// must be bit-for-bit identical to an unfaulted, always-resident,
+// in-memory baseline fed exactly the same profiles.
 // The engine emits a machine-readable SLO report (per-endpoint
 // p50/p99, shed counts, zero-acked-loss) and hard-fails on any
 // violated invariant.
@@ -532,6 +533,19 @@ func outcomeFromFullReport(rep *server.FullReport) *client.InvestigationOutcome 
 	return out
 }
 
+// The reward bank is shared by every scenario run and the flood test
+// in a process, so the 1024-bit RSA keygen is paid once.
+var (
+	sharedBankOnce sync.Once
+	sharedBank     *reward.Bank
+	sharedBankErr  error
+)
+
+func benchBank() (*reward.Bank, error) {
+	sharedBankOnce.Do(func() { sharedBank, sharedBankErr = reward.NewBank(1024) })
+	return sharedBank, sharedBankErr
+}
+
 // Endpoint-class partition mask bits for the front middleware.
 const (
 	partEvidence = 1 << iota
@@ -829,6 +843,22 @@ func Scenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		}
 		res.WatchReports++
 		return got.Epoch, nil
+	}
+
+	// checkResident bounds memory in long-horizon mode: after a
+	// retention sweep, only the hot horizon plus the cold-reload LRU
+	// may be resident. Nothing is in flight at the check points, so
+	// the bound is exact.
+	checkResident := func(when string) error {
+		if cfg.RetentionMinutes == 0 {
+			return nil
+		}
+		limit := cfg.RetentionMinutes + cfg.ResidentColdMinutes
+		if n := sys.Store().RetentionStatsSnapshot().ResidentMinutes; n > limit {
+			return fmt.Errorf("sim: %s: %d resident minutes exceed the %d-minute horizon plus %d cold",
+				when, n, cfg.RetentionMinutes, cfg.ResidentColdMinutes)
+		}
+		return nil
 	}
 
 	// drainJobs pushes one batch set through the upload workers while
@@ -1300,6 +1330,9 @@ func Scenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			if _, err := sys.Store().ApplyRetention(); err != nil {
 				return nil, err
 			}
+			if err := checkResident(fmt.Sprintf("minute %d", m)); err != nil {
+				return nil, err
+			}
 			if cold := m - cfg.RetentionMinutes - 1; cold >= 0 && !inInvPart && cold%5 == 0 && covered[0][cold] {
 				if _, err := watchCompare(cities[0], int64(cold)); err != nil {
 					return nil, fmt.Errorf("sim: cold watch: %w", err)
@@ -1355,6 +1388,9 @@ func Scenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		}
 	}
 	res.ProbeDigest = hex.EncodeToString(h.Sum(nil))
+	if err := checkResident("final pass"); err != nil {
+		return nil, err
+	}
 
 	// Structural invariants, with counters folded across incarnations.
 	stats, err := api.StatsFull()
