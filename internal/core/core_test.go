@@ -333,17 +333,6 @@ func TestComponentsAndIsolated(t *testing.T) {
 	}
 }
 
-func TestNodeByID(t *testing.T) {
-	vm := chainViewmap(t, 3, 100)
-	id := vm.Profiles[1].ID()
-	if i, ok := vm.NodeByID(id); !ok || i != 1 {
-		t.Errorf("NodeByID = %d,%v want 1,true", i, ok)
-	}
-	if _, ok := vm.NodeByID(vd.VPID{}); ok {
-		t.Error("unknown ID should not resolve")
-	}
-}
-
 func TestDOTOutput(t *testing.T) {
 	vm := chainViewmap(t, 3, 100)
 	dot := vm.DOT("test")

@@ -557,11 +557,7 @@ func (b *IncrementalBuilder) ViewmapFor(site geo.Rect, margin float64) (*Viewmap
 	}
 	cover := b.coverFor(site, nearestTrusted, margin)
 
-	vm := &Viewmap{
-		Coverage: cover,
-		Minute:   b.cfg.Minute,
-		index:    make(map[vd.VPID]int),
-	}
+	vm := &Viewmap{Coverage: cover, Minute: b.cfg.Minute}
 	// remap[old] is the member's node id in the extracted viewmap, -1
 	// for non-members. Membership preserves insertion order, so the
 	// remapping is monotone and remapped adjacency stays sorted.
@@ -572,7 +568,6 @@ func (b *IncrementalBuilder) ViewmapFor(site geo.Rect, margin float64) (*Viewmap
 			continue
 		}
 		remap[i] = len(vm.Profiles)
-		vm.index[p.ID()] = len(vm.Profiles)
 		vm.Profiles = append(vm.Profiles, p)
 		if p.Trusted {
 			vm.Trusted = append(vm.Trusted, remap[i])
@@ -589,7 +584,6 @@ func (b *IncrementalBuilder) ViewmapFor(site geo.Rect, margin float64) (*Viewmap
 			}
 		}
 	}
-	vm.ensureCSR()
 	return vm, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"viewmap/internal/geo"
-	"viewmap/internal/vd"
 	"viewmap/internal/vp"
 )
 
@@ -32,12 +31,16 @@ import (
 // holds Refresh and ViewmapFor together across randomized ingest
 // interleavings.
 //
+// The SiteView also keeps the site's in-site node list (InSite), so a
+// re-verification tests only the new members against the site instead
+// of rescanning every member's trajectory.
+//
 // A SiteView is not safe for concurrent use; the server serializes
 // Refresh under its shard lock. The *Viewmap values Refresh returns are
 // immutable snapshots safe to read concurrently with later patches:
-// each content change publishes a fresh Viewmap whose outer slices are
-// copied, while the shared inner arrays are only ever appended to
-// beyond the published lengths.
+// each content change publishes a fresh Viewmap whose outer adjacency
+// slice is copied, while the shared arrays are only ever appended to
+// beyond the published lengths (TestSiteViewSnapshotImmutable).
 type SiteView struct {
 	b      *IncrementalBuilder
 	site   geo.Rect
@@ -53,8 +56,8 @@ type SiteView struct {
 	remap   []int
 	members []*vp.Profile
 	trusted []int
+	inSite  []int // members whose trajectories enter site, ascending
 	adj     [][]int
-	index   map[vd.VPID]int
 	vm      *Viewmap
 }
 
@@ -118,13 +121,8 @@ func (sv *SiteView) Refresh() (*Viewmap, uint64, uint64, error) {
 			sv.remap = append(sv.remap, -1)
 			continue
 		}
-		n := len(sv.members)
-		sv.remap = append(sv.remap, n)
-		sv.index[p.ID()] = n
-		sv.members = append(sv.members, p)
-		if p.Trusted {
-			sv.trusted = append(sv.trusted, n)
-		}
+		sv.remap = append(sv.remap, len(sv.members))
+		sv.admit(p)
 		sv.contentEpoch = uint64(i) + 1
 		changed = true
 	}
@@ -164,18 +162,14 @@ func (sv *SiteView) rebuild(nt int) (*Viewmap, uint64, uint64, error) {
 	sv.remap = make([]int, len(b.profiles))
 	sv.members = nil
 	sv.trusted = nil
-	sv.index = make(map[vd.VPID]int)
+	sv.inSite = nil
 	for i, p := range b.profiles {
 		sv.remap[i] = -1
 		if !p.EntersArea(sv.cover) {
 			continue
 		}
 		sv.remap[i] = len(sv.members)
-		sv.index[p.ID()] = len(sv.members)
-		sv.members = append(sv.members, p)
-		if p.Trusted {
-			sv.trusted = append(sv.trusted, sv.remap[i])
-		}
+		sv.admit(p)
 		sv.contentEpoch = uint64(i) + 1
 	}
 	sv.adj = make([][]int, 0, len(sv.members))
@@ -198,25 +192,42 @@ func (sv *SiteView) rebuild(nt int) (*Viewmap, uint64, uint64, error) {
 	return sv.vm, sv.contentEpoch, sv.gen, nil
 }
 
-// publish snapshots the current extraction as an immutable Viewmap.
-// Outer slice headers and the id index are copied; the inner arrays are
-// shared with future patches, which only append past the lengths
-// recorded here.
-func (sv *SiteView) publish() {
-	idx := make(map[vd.VPID]int, len(sv.members))
-	for id, n := range sv.index {
-		idx[id] = n
+// admit appends a coverage member as the next node id. The site lies
+// inside the coverage, so every in-site VP is a member, and testing
+// members alone, in node order, yields exactly Viewmap.InSite's list.
+func (sv *SiteView) admit(p *vp.Profile) {
+	n := len(sv.members)
+	sv.members = append(sv.members, p)
+	if p.Trusted {
+		sv.trusted = append(sv.trusted, n)
 	}
+	if p.EntersArea(sv.site) {
+		sv.inSite = append(sv.inSite, n)
+	}
+}
+
+// InSite returns the node ids of the last Refresh's viewmap whose
+// trajectories enter the site: that viewmap's InSite(site), kept as the
+// SiteView patches instead of rescanned. Call it where Refresh may be
+// called; the returned slice is immutable and may be read concurrently
+// with later patches.
+func (sv *SiteView) InSite() []int {
+	n := len(sv.inSite)
+	return sv.inSite[:n:n]
+}
+
+// publish snapshots the current extraction as an immutable Viewmap.
+// Only the outer adjacency slice is copied; the member, trusted and
+// row arrays are shared with future patches, which only append past
+// the lengths recorded here.
+func (sv *SiteView) publish() {
 	adj := make([][]int, len(sv.adj))
 	copy(adj, sv.adj)
-	vm := &Viewmap{
+	sv.vm = &Viewmap{
 		Profiles: sv.members,
 		Adj:      adj,
 		Trusted:  sv.trusted,
 		Coverage: sv.cover,
 		Minute:   sv.b.cfg.Minute,
-		index:    idx,
 	}
-	vm.ensureCSR()
-	sv.vm = vm
 }

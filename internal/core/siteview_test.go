@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"viewmap/internal/geo"
@@ -20,7 +23,10 @@ import (
 // Legitimate set as a cold VerifySite over the same viewmap, at every
 // epoch. The warm path's certificate logic (trustrank.go) may pick a
 // different internal anchor but never a different verdict; this test
-// is what holds it to that.
+// is what holds it to that. The SiteView's kept in-site list must equal
+// InSite's rescan of both viewmaps at every epoch; even seeds add a
+// second trusted VP, far from the site, that arrives first, so the list
+// is also checked across the rebuild once the nearer one lands.
 func TestSiteViewEquivalenceProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence sweep is not short")
@@ -40,10 +46,19 @@ func TestSiteViewEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			MarkTrustedNearest(profiles, area.Center())
+			near := profiles[MarkTrustedNearest(profiles, area.Center())]
 			perm := make([]*vp.Profile, len(profiles))
 			for i, j := range rng.Perm(len(profiles)) {
 				perm[i] = profiles[j]
+			}
+			wantRebuild := si%2 == 0
+			if wantRebuild {
+				// The far trusted VP opens the stream and the nearer one
+				// lands past the first chunk (at most 24 of >= 60).
+				far := profiles[MarkTrustedNearest(profiles, area.Min)]
+				perm = slices.DeleteFunc(perm, func(p *vp.Profile) bool { return p == far || p == near })
+				perm = slices.Insert(perm, 0, far)
+				perm = slices.Insert(perm, len(perm)/2, near)
 			}
 			// A colluder flood lands mid-stream: a stacked cluster inside
 			// the site, linked to each other but (mostly) not to the
@@ -59,7 +74,7 @@ func TestSiteViewEquivalenceProperty(t *testing.T) {
 			var prev []float64
 			var prevGen uint64
 			var prevLen int
-			checked := 0
+			checked, rebuilds := 0, 0
 			for off := 0; off < len(perm); {
 				size := 1 + rng.Intn(24)
 				if off+size > len(perm) {
@@ -102,13 +117,20 @@ func TestSiteViewEquivalenceProperty(t *testing.T) {
 				if vm.Coverage != fresh.Coverage {
 					t.Fatalf("coverage diverges: %+v vs %+v", vm.Coverage, fresh.Coverage)
 				}
+				if got := sv.InSite(); !slices.Equal(got, vm.InSite(site)) || !slices.Equal(got, fresh.InSite(site)) {
+					t.Fatalf("kept in-site list %v, patched viewmap rescans %v, fresh extraction %v",
+						got, vm.InSite(site), fresh.InSite(site))
+				}
+				if prevGen != 0 && gen != prevGen {
+					rebuilds++
+				}
 
 				// Warm-vs-cold verdict equality, with the server's
 				// warm-start validity rule: same generation, bounded growth.
 				if gen != prevGen || prevLen == 0 || vm.Len() > prevLen*8 {
 					prev = nil
 				}
-				warm, stats, err := vm.VerifySiteFrom(vm.InSite(site), prev, TrustRankConfig{})
+				warm, stats, err := vm.VerifySiteFrom(sv.InSite(), prev, TrustRankConfig{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,6 +150,9 @@ func TestSiteViewEquivalenceProperty(t *testing.T) {
 			}
 			if checked < 2 {
 				t.Fatalf("property only exercised %d epochs", checked)
+			}
+			if wantRebuild && rebuilds == 0 {
+				t.Fatal("the nearer trusted VP never forced a rebuild")
 			}
 		})
 	}
@@ -199,6 +224,98 @@ func TestSiteViewContentEpoch(t *testing.T) {
 		t.Fatal(err)
 	} else if ce3 != ce1 {
 		t.Fatalf("replayed content epoch %d, original %d", ce3, ce1)
+	}
+}
+
+// TestSiteViewSnapshotImmutable holds a published viewmap to its
+// immutability contract while later waves patch the SiteView that
+// published it. TrustRank and the site BFS walk the snapshot's Adj rows
+// in place, and those rows share backing arrays that the patches append
+// to past the published lengths, so goroutines re-verifying the old
+// snapshot during the waves must reproduce its verdict and scores bit
+// for bit (run under -race by make race).
+func TestSiteViewSnapshotImmutable(t *testing.T) {
+	area := geo.NewRect(geo.Pt(0, 0), geo.Pt(1500, 1500))
+	profiles, err := SynthesizeLegitimate(SynthConfig{N: 240, Area: area, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One trusted VP in the preload keeps every wave a patch.
+	MarkTrustedNearest(profiles[:120], area.Center())
+	site := geo.RectAround(area.Center(), 250)
+	b := NewIncrementalBuilder(IncrementalConfig{Minute: 0})
+	if _, err := b.AddBatch(profiles[:120]); err != nil {
+		t.Fatal(err)
+	}
+	sv := NewSiteView(b, site, 0)
+	snap, _, gen, err := sv.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inSite := sv.InSite()
+	want, err := snap.VerifySite(inSite, TrustRankConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				got, err := snap.VerifySite(inSite, TrustRankConfig{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(got.Legitimate, want.Legitimate) || got.Anchor != want.Anchor ||
+					!slices.EqualFunc(got.Scores, want.Scores, func(a, b float64) bool {
+						return math.Float64bits(a) == math.Float64bits(b)
+					}) {
+					t.Error("re-verifying the published snapshot changed its verdict or scores")
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	// Waves of honest VPs, with a colluding cluster in the site as the
+	// third.
+	var waves [][]*vp.Profile
+	for off := 120; off < len(profiles); off += 12 {
+		waves = append(waves, profiles[off:off+12])
+	}
+	cluster := stackedCluster(t, area.Center(), 8, 0, rand.New(rand.NewSource(41)))
+	waves = slices.Insert(waves, 2, cluster)
+	var latest *Viewmap
+	for _, w := range waves {
+		if _, err := b.AddBatch(w); err != nil {
+			t.Error(err)
+			break
+		}
+		var g uint64
+		if latest, _, g, err = sv.Refresh(); err != nil || g != gen {
+			t.Errorf("wave refresh: gen %d (want %d), err %v", g, gen, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	grew := false
+	for m, row := range snap.Adj {
+		grew = grew || len(latest.Adj[m]) > len(row)
+	}
+	if !grew {
+		t.Fatal("no wave appended to a row the snapshot publishes")
 	}
 }
 

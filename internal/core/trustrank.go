@@ -104,7 +104,6 @@ func (vm *Viewmap) trustSeed(cfg TrustRankConfig) (d, p []float64, err error) {
 	if len(vm.Trusted) == 0 {
 		return nil, nil, errors.New("core: viewmap has no trusted VP")
 	}
-	vm.ensureCSR()
 	d = make([]float64, n)
 	share := 1.0 / float64(len(vm.Trusted))
 	for _, t := range vm.Trusted {
@@ -120,39 +119,43 @@ func (vm *Viewmap) trustSeed(cfg TrustRankConfig) (d, p []float64, err error) {
 // returning the final vector and the iteration count. cfg must already
 // carry defaults.
 func (vm *Viewmap) powerIterate(d, p []float64, cfg TrustRankConfig) ([]float64, int) {
-	n := len(p)
-	next := make([]float64, n)
-	off, adj := vm.csrOff, vm.csrAdj
+	next := make([]float64, len(p))
 	iters := 0
-	for iter := 0; iter < cfg.MaxIterations; iter++ {
+	for iters < cfg.MaxIterations {
 		iters++
-		for i := range next {
-			next[i] = (1 - cfg.Damping) * d[i]
-		}
-		for u := 0; u < n; u++ {
-			lo, hi := off[u], off[u+1]
-			if lo == hi || p[u] == 0 {
-				continue
-			}
-			out := cfg.Damping * p[u] / float64(hi-lo)
-			for _, v := range adj[lo:hi] {
-				next[v] += out
-			}
-		}
-		var delta float64
-		for i := range next {
-			diff := next[i] - p[i]
-			if diff < 0 {
-				diff = -diff
-			}
-			delta += diff
-		}
+		delta := vm.step(d, p, next, cfg.Damping)
 		p, next = next, p
 		if delta < cfg.Epsilon {
 			break
 		}
 	}
 	return p, iters
+}
+
+// step writes one damped update of p into next, walking each node's
+// Adj row in order, and returns the L1 residual between the two.
+func (vm *Viewmap) step(d, p, next []float64, damping float64) float64 {
+	for i := range next {
+		next[i] = (1 - damping) * d[i]
+	}
+	for u, row := range vm.Adj {
+		if len(row) == 0 || p[u] == 0 {
+			continue
+		}
+		out := damping * p[u] / float64(len(row))
+		for _, v := range row {
+			next[v] += out
+		}
+	}
+	var delta float64
+	for i := range next {
+		diff := next[i] - p[i]
+		if diff < 0 {
+			diff = -diff
+		}
+		delta += diff
+	}
+	return delta
 }
 
 // Verdict is the outcome of verifying the VPs inside an investigation
@@ -217,11 +220,11 @@ func (vm *Viewmap) verifySiteScored(siteNodes []int, cfg TrustRankConfig) (*Verd
 	queue := []int{best}
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		for _, v := range vm.csrAdj[vm.csrOff[u]:vm.csrOff[u+1]] {
+		for _, v := range vm.Adj[u] {
 			if inSite[v] && !marked[v] {
 				marked[v] = true
 				count++
-				queue = append(queue, int(v))
+				queue = append(queue, v)
 			}
 		}
 	}
@@ -302,10 +305,10 @@ func (vm *Viewmap) VerifySiteFrom(siteNodes []int, prev []float64, cfg TrustRank
 		queue = append(queue[:0], s)
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
-			for _, v := range vm.csrAdj[vm.csrOff[u]:vm.csrOff[u+1]] {
+			for _, v := range vm.Adj[u] {
 				if inSite[v] && comp[v] < 0 {
 					comp[v] = ncomp
-					queue = append(queue, int(v))
+					queue = append(queue, v)
 				}
 			}
 		}
@@ -314,32 +317,11 @@ func (vm *Viewmap) VerifySiteFrom(siteNodes []int, prev []float64, cfg TrustRank
 	coef := c.Damping / (1 - c.Damping)
 	compMax := make([]float64, ncomp)
 	next := make([]float64, n)
-	off, adj := vm.csrOff, vm.csrAdj
 	iters := 0
 	certified := false
-	for iter := 0; iter < c.MaxIterations; iter++ {
+	for iters < c.MaxIterations {
 		iters++
-		for i := range next {
-			next[i] = (1 - c.Damping) * d[i]
-		}
-		for u := 0; u < n; u++ {
-			lo, hi := off[u], off[u+1]
-			if lo == hi || p[u] == 0 {
-				continue
-			}
-			out := c.Damping * p[u] / float64(hi-lo)
-			for _, v := range adj[lo:hi] {
-				next[v] += out
-			}
-		}
-		var delta float64
-		for i := range next {
-			diff := next[i] - p[i]
-			if diff < 0 {
-				diff = -diff
-			}
-			delta += diff
-		}
+		delta := vm.step(d, p, next, c.Damping)
 		p, next = next, p
 		if ncomp == 1 {
 			// A single component is the verdict regardless of scores.

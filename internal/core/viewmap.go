@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"viewmap/internal/geo"
 	"viewmap/internal/vd"
@@ -29,10 +28,14 @@ import (
 const DefaultDSRCRange = 400
 
 // Viewmap is the visibility graph for one minute around an incident.
+// A viewmap is read-only once built: the traversals (TrustRank, the
+// site BFS, HopsFromTrusted, Components) walk Adj's rows in place, and
+// viewmaps a SiteView publishes share their rows' backing arrays with
+// later patches, which only append past each row's published length.
 type Viewmap struct {
 	// Profiles are the member VPs; index positions are node ids.
 	Profiles []*vp.Profile
-	// Adj is the adjacency list of viewlinks.
+	// Adj is the adjacency list of viewlinks, each row ascending.
 	Adj [][]int
 	// Trusted lists node ids of trusted VPs.
 	Trusted []int
@@ -40,42 +43,6 @@ type Viewmap struct {
 	Coverage geo.Rect
 	// Minute is the unit-time window the viewmap covers.
 	Minute int64
-
-	index map[vd.VPID]int
-
-	// csrOff/csrAdj are the flat CSR mirror of Adj: node u's neighbors
-	// are csrAdj[csrOff[u]:csrOff[u+1]]. The graph traversals —
-	// TrustRank's power iteration, VerifySite's BFS, HopsFromTrusted,
-	// Components — walk this contiguous layout instead of chasing
-	// per-node slice headers. Build populates it after linking;
-	// ensureCSR builds it lazily (once, so concurrent readers are
-	// safe) for viewmaps assembled by hand, as tests do. Adj must not
-	// be mutated after the first traversal; nothing in the repo does.
-	csrOnce sync.Once
-	csrOff  []int32
-	csrAdj  []int32
-}
-
-// ensureCSR mirrors Adj into the flat CSR arrays if not already done.
-func (vm *Viewmap) ensureCSR() {
-	vm.csrOnce.Do(func() {
-		n := len(vm.Profiles)
-		off := make([]int32, n+1)
-		total := 0
-		for i, a := range vm.Adj {
-			total += len(a)
-			off[i+1] = int32(total)
-		}
-		adj := make([]int32, total)
-		pos := 0
-		for _, a := range vm.Adj {
-			for _, v := range a {
-				adj[pos] = int32(v)
-				pos++
-			}
-		}
-		vm.csrOff, vm.csrAdj = off, adj
-	})
 }
 
 // BuildConfig parameterizes viewmap construction.
@@ -147,20 +114,17 @@ func Build(profiles []*vp.Profile, cfg BuildConfig) (*Viewmap, error) {
 	}
 	cover = cover.Inflate(cfg.CoverageMargin)
 
-	vm := &Viewmap{
-		Coverage: cover,
-		Minute:   cfg.Minute,
-		index:    make(map[vd.VPID]int),
-	}
+	vm := &Viewmap{Coverage: cover, Minute: cfg.Minute}
+	seen := make(map[vd.VPID]bool)
 	for _, p := range minuteProfiles {
 		if !p.EntersArea(cover) {
 			continue
 		}
 		id := p.ID()
-		if _, dup := vm.index[id]; dup {
+		if seen[id] {
 			continue // identifier collision: keep first, drop clone
 		}
-		vm.index[id] = len(vm.Profiles)
+		seen[id] = true
 		vm.Profiles = append(vm.Profiles, p)
 	}
 	for i, p := range vm.Profiles {
@@ -181,7 +145,6 @@ func Build(profiles []*vp.Profile, cfg BuildConfig) (*Viewmap, error) {
 	}
 	b.CommitStaged()
 	vm.Adj = b.adj
-	vm.ensureCSR()
 	return vm, nil
 }
 
@@ -237,12 +200,6 @@ func (vm *Viewmap) NumEdges() int {
 	return total / 2
 }
 
-// NodeByID returns the node index of a VP identifier.
-func (vm *Viewmap) NodeByID(id vd.VPID) (int, bool) {
-	i, ok := vm.index[id]
-	return i, ok
-}
-
 // Degree returns the viewlink count of node i.
 func (vm *Viewmap) Degree(i int) int { return len(vm.Adj[i]) }
 
@@ -274,7 +231,6 @@ func (vm *Viewmap) InSite(site geo.Rect) []int {
 // any trusted VP (-1 when unreachable). Used by the Lemma 1 bound
 // checks and the Fig. 12 attacker-position sweep.
 func (vm *Viewmap) HopsFromTrusted() []int {
-	vm.ensureCSR()
 	dist := make([]int, len(vm.Profiles))
 	for i := range dist {
 		dist[i] = -1
@@ -286,10 +242,10 @@ func (vm *Viewmap) HopsFromTrusted() []int {
 	}
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		for _, v := range vm.csrAdj[vm.csrOff[u]:vm.csrOff[u+1]] {
+		for _, v := range vm.Adj[u] {
 			if dist[v] == -1 {
 				dist[v] = dist[u] + 1
-				queue = append(queue, int(v))
+				queue = append(queue, v)
 			}
 		}
 	}
@@ -298,7 +254,6 @@ func (vm *Viewmap) HopsFromTrusted() []int {
 
 // Components returns the connected components as slices of node ids.
 func (vm *Viewmap) Components() [][]int {
-	vm.ensureCSR()
 	comp := make([]int, len(vm.Profiles))
 	for i := range comp {
 		comp[i] = -1
@@ -315,10 +270,10 @@ func (vm *Viewmap) Components() [][]int {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			cur = append(cur, u)
-			for _, v := range vm.csrAdj[vm.csrOff[u]:vm.csrOff[u+1]] {
+			for _, v := range vm.Adj[u] {
 				if comp[v] == -1 {
 					comp[v] = len(out)
-					stack = append(stack, int(v))
+					stack = append(stack, v)
 				}
 			}
 		}

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
+	"viewmap/internal/attack"
 	"viewmap/internal/core"
 	"viewmap/internal/geo"
 	"viewmap/internal/vp"
@@ -138,6 +140,102 @@ func BenchmarkVerifySiteCachedViewmap(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkReinvestigateAfterWave is the live re-verification loop: a
+// resident 300-VP minute watched at 4 sites takes one 12-VP wave per
+// iteration — 6 honest VPs and 6 colluding attack.Launch fakes — and
+// the 4 sites are re-investigated after it, each a SiteView patch plus
+// a warm-started TrustRank. Every 10 waves the minute starts over on a
+// fresh system, untimed, so the per-wave cost does not grow with b.N.
+func BenchmarkReinvestigateAfterWave(b *testing.B) {
+	const waves, honest, fakes = 10, 6, 6
+	area := geo.NewRect(geo.Pt(0, 0), geo.Pt(2000, 2000))
+	profiles, err := core.SynthesizeLegitimate(core.SynthConfig{N: 300 + waves*honest, Area: area, Seed: 23})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	sites := make([]geo.Rect, 4)
+	for i := range sites {
+		c := geo.Pt(500+rng.Float64()*1000, 500+rng.Float64()*1000)
+		core.MarkTrustedNearest(profiles, c)
+		sites[i] = geo.RectAround(c, 300)
+	}
+	var trusted [][]byte
+	var held, base []*vp.Profile
+	for _, p := range profiles {
+		switch {
+		case p.Trusted:
+			trusted = append(trusted, p.Marshal())
+		case len(held) < waves*honest:
+			held = append(held, p)
+		default:
+			base = append(base, p)
+		}
+	}
+	// The attacker's own honest VP: the resident one starting nearest
+	// the first site.
+	c0 := sites[0].Center()
+	owned := base[0]
+	for _, p := range base {
+		if p.InitialLocation().Dist(c0) < owned.InitialLocation().Dist(c0) {
+			owned = p
+		}
+	}
+	bodies := make([][]byte, waves)
+	for i := range bodies {
+		camp, err := attack.Launch([]*vp.Profile{owned}, attack.Config{
+			Site: sites[0], FakeCount: fakes, Colluding: true, Seed: int64(i),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = vp.MarshalBatch(append(slices.Clone(held[i*honest:(i+1)*honest]), camp.Fakes...))
+	}
+	baseBody := vp.MarshalBatch(base)
+	investigate := func(sys *System) {
+		for _, site := range sites {
+			if _, err := sys.Investigate("tok", site, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	var sys *System
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%waves == 0 {
+			// A fresh resident minute whose sites are already verified.
+			b.StopTimer()
+			if sys != nil {
+				sys.Close()
+			}
+			if sys, err = NewSystem(Config{AuthorityToken: "tok", Bank: sharedBankInternal(b)}); err != nil {
+				b.Fatal(err)
+			}
+			for _, t := range trusted {
+				if err := sys.UploadTrustedVP("tok", t); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := sys.UploadVPBatch(baseBody); err != nil {
+				b.Fatal(err)
+			}
+			investigate(sys)
+			b.StartTimer()
+		}
+		res, err := sys.UploadVPBatch(bodies[i%waves])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stored != honest+fakes {
+			b.Fatalf("wave stored %d of %d VPs", res.Stored, honest+fakes)
+		}
+		investigate(sys)
+	}
+	b.StopTimer()
+	sys.Close()
 }
 
 // BenchmarkSegmentReload times the cold-minute path: reloading an

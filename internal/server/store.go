@@ -655,13 +655,14 @@ func (s *Store) MinuteEpoch(m int64) uint64 {
 // (SiteViewmap without the identity stamps, for callers that do not
 // cache verdicts).
 func (s *Store) ViewmapFor(site geo.Rect, minute int64) (*core.Viewmap, error) {
-	vm, _, _, _, err := s.SiteViewmap(site, minute)
+	vm, _, _, _, _, err := s.SiteViewmap(site, minute)
 	return vm, err
 }
 
 // SiteViewmap returns the viewmap for an investigation site and
-// minute, together with its content epoch and extraction generation
-// (see core.SiteView.Refresh) and the minute's builder epoch, read
+// minute, together with its in-site node ids (core.SiteView.InSite),
+// its content epoch and extraction generation (see
+// core.SiteView.Refresh) and the minute's builder epoch, all read
 // under the same shard lock as the extraction. The minute's maintained
 // graph is already linked and each site keeps a patched induced
 // subgraph, so a repeated site pays only for the ingest delta since
@@ -672,20 +673,20 @@ func (s *Store) ViewmapFor(site geo.Rect, minute int64) (*core.Viewmap, error) {
 // viewmaps rather than mutating published ones, so callers may use it
 // without locking, concurrently with further uploads. A site with a NaN
 // or infinite coordinate is refused.
-func (s *Store) SiteViewmap(site geo.Rect, minute int64) (vm *core.Viewmap, contentEpoch, gen, minuteEpoch uint64, err error) {
+func (s *Store) SiteViewmap(site geo.Rect, minute int64) (vm *core.Viewmap, inSite []int, contentEpoch, gen, minuteEpoch uint64, err error) {
 	// The site keys the shard's cache, and a NaN key can never be found
 	// or evicted again; a site spanning an infinity has a NaN centre.
 	for _, v := range [4]float64{site.Min.X, site.Min.Y, site.Max.X, site.Max.Y} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, 0, 0, 0, fmt.Errorf("server: site %v has a non-finite coordinate", site)
+			return nil, nil, 0, 0, 0, fmt.Errorf("server: site %v has a non-finite coordinate", site)
 		}
 	}
 	sh, err := s.residentShard(minute)
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return nil, nil, 0, 0, 0, err
 	}
 	if sh == nil {
-		return nil, 0, 0, 0, fmt.Errorf("%w %d", ErrNoMinute, minute)
+		return nil, nil, 0, 0, 0, fmt.Errorf("%w %d", ErrNoMinute, minute)
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -710,7 +711,7 @@ func (s *Store) SiteViewmap(site geo.Rect, minute int64) (vm *core.Viewmap, cont
 	sh.cacheSeq++
 	e.used = sh.cacheSeq
 	vm, contentEpoch, gen, err = e.sv.Refresh()
-	return vm, contentEpoch, gen, sh.builder.Epoch(), err
+	return vm, e.sv.InSite(), contentEpoch, gen, sh.builder.Epoch(), err
 }
 
 // MinuteChange returns the minute's current builder epoch and a

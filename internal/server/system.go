@@ -458,16 +458,17 @@ func (sys *System) Investigate(token string, site geo.Rect, minute int64) (*Inve
 
 // verify extracts the viewmap for (site, minute) from the minute's
 // incrementally maintained graph and verifies it with TrustRank. It
-// also returns the verdict's report, whose Legitimate slice is the
-// cache's and must not be handed out, and the extraction's content
-// epoch — the identity the watch endpoint dedups and resumes on.
-func (sys *System) verify(site geo.Rect, minute int64) (*core.Viewmap, *core.Verdict, InvestigationReport, uint64, error) {
-	vm, epoch, gen, minuteEpoch, err := sys.store.SiteViewmap(site, minute)
+// also returns the viewmap's in-site node ids, the verdict's report,
+// whose Legitimate slice is the cache's and must not be handed out,
+// and the extraction's content epoch — the identity the watch endpoint
+// dedups and resumes on.
+func (sys *System) verify(site geo.Rect, minute int64) (*core.Viewmap, []int, *core.Verdict, InvestigationReport, uint64, error) {
+	vm, inSite, epoch, gen, minuteEpoch, err := sys.store.SiteViewmap(site, minute)
 	if err != nil {
-		return nil, nil, InvestigationReport{}, 0, err
+		return nil, nil, nil, InvestigationReport{}, 0, err
 	}
-	verdict, report, err := sys.verifiedSite(vm, epoch, gen, minuteEpoch, site, minute)
-	return vm, verdict, report, epoch, err
+	verdict, report, err := sys.verifiedSite(vm, inSite, epoch, gen, minuteEpoch, site, minute)
+	return vm, inSite, verdict, report, epoch, err
 }
 
 // investigateAt verifies (site, minute) and returns a copy of its
@@ -491,7 +492,7 @@ func (sys *System) investigateAt(site geo.Rect, minute int64) (*InvestigationRep
 	sys.verdictMu.Unlock()
 	if !hit {
 		var err error
-		if _, _, report, epoch, err = sys.verify(site, minute); err != nil {
+		if _, _, _, report, epoch, err = sys.verify(site, minute); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -546,7 +547,7 @@ func (sys *System) InvestigateReport(token string, site geo.Rect, minute int64) 
 	if err := sys.checkAuthority(token); err != nil {
 		return nil, err
 	}
-	vm, verdict, summary, _, err := sys.verify(site, minute)
+	vm, inSite, verdict, summary, _, err := sys.verify(site, minute)
 	if err != nil {
 		return nil, err
 	}
@@ -563,7 +564,7 @@ func (sys *System) InvestigateReport(token string, site geo.Rect, minute int64) 
 			Hops:    hops[i],
 		}
 	}
-	for _, i := range vm.InSite(site) {
+	for _, i := range inSite {
 		report.Verdicts[i].InSite = true
 	}
 	for _, i := range verdict.Legitimate {
@@ -578,19 +579,19 @@ func (sys *System) InvestigateReport(token string, site geo.Rect, minute int64) 
 }
 
 // verifiedSite returns the TrustRank verdict and the report for a
-// viewmap and site, given the extraction's content epoch and
-// generation and the minute's builder epoch (SiteViewmap). A cached
-// entry for the same content epoch is reused outright, and its
-// builder-epoch stamp raised to minuteEpoch — the verdict and report
-// are deterministic functions of the graph content, so this holds
-// across viewmap re-extraction and across a segment evict/reload of
-// the minute. When the content advanced, the cached entry's converged
+// viewmap and site, given the viewmap's in-site node ids, the
+// extraction's content epoch and generation and the minute's builder
+// epoch (SiteViewmap). A cached entry for the same content epoch is
+// reused outright, and its builder-epoch stamp raised to minuteEpoch
+// — the verdict and report are deterministic functions of the graph
+// content, so this holds across viewmap re-extraction and across a
+// segment evict/reload of the minute. When the content advanced, the cached entry's converged
 // score vector warm-starts the re-verification (same generation only,
 // and only within the warmGrowthMax perturbation cutoff);
 // core.VerifySiteFrom certifies the warm verdict equal to the cold one
 // or falls back internally. The report's Legitimate slice is the
 // cache's.
-func (sys *System) verifiedSite(vm *core.Viewmap, epoch, gen, minuteEpoch uint64, site geo.Rect, minute int64) (*core.Verdict, InvestigationReport, error) {
+func (sys *System) verifiedSite(vm *core.Viewmap, inSite []int, epoch, gen, minuteEpoch uint64, site geo.Rect, minute int64) (*core.Verdict, InvestigationReport, error) {
 	key := investigationKey{site: site, minute: minute}
 	sys.verdictMu.Lock()
 	e := sys.verdicts[key]
@@ -608,7 +609,6 @@ func (sys *System) verifiedSite(vm *core.Viewmap, epoch, gen, minuteEpoch uint64
 	}
 	sys.verdictMu.Unlock()
 
-	inSite := vm.InSite(site)
 	verdict, stats, err := vm.VerifySiteFrom(inSite, prev, core.TrustRankConfig{})
 	if err != nil {
 		return nil, InvestigationReport{}, err
