@@ -36,9 +36,9 @@ check: build vet test
 # LOS index builds its grid lazily under concurrent queries, the
 # server's sharded store takes concurrent ingest against concurrent
 # investigations, and the evidence board takes concurrent deliveries
-# and payouts (the server package includes the e2e evidence flow, the
-# sim package the concurrent delivery benchmark); keep them all
-# race-clean. The attack package and the online attack-serving
+# and payouts (the evidence package's concurrent delivery and
+# many-owner lifecycle tests, the server package's e2e evidence flow);
+# keep them all race-clean. The attack package and the online attack-serving
 # campaigns (concurrent double-spend and payout races through the
 # live HTTP path) ride in the same job. The server line also races
 # concurrent batch writers through the burst pipeline's ring handoff
@@ -59,7 +59,7 @@ check: build vet test
 # whole key.
 race:
 	$(GO) test -race ./internal/core/... ./internal/geo/... ./internal/obs/... ./internal/server/... ./internal/evidence/... ./internal/attack/... ./internal/reward/...
-	$(GO) test -race -short -run 'TestEvidencePipelineSmall|TestAttackServingCampaigns|TestScenarioQuick|TestFaultFamilies|TestOnlineFloodWarmColdEquivalence' ./internal/sim/
+	$(GO) test -race -short -run 'TestAttackServingCampaigns|TestScenarioQuick|TestFaultFamilies|TestOnlineFloodWarmColdEquivalence' ./internal/sim/
 
 # Documentation hygiene: formatting, vet, complete doc comments on the
 # exported surface of the service-facing packages, resolvable relative
@@ -71,23 +71,22 @@ lint-docs:
 
 # One-iteration pass over the figure-level benchmark suite: catches
 # regressions that only surface at experiment scale without paying for a
-# full benchmark run. The following lines smoke the evidence pipeline
-# and the online attack campaigns through the viewmap-bench binary
-# itself (quick scale, one shot; attack-serving fails hard on any
-# online/offline divergence or accepted fake). The evidence
-# micro-benchmarks (blind signing, release redaction) run once each so
-# they keep compiling and running, and so do the linker and TrustRank
-# micro-benchmarks in internal/core and every internal/server benchmark
-# (serving paths including the rebuild-per-request baseline, segment
-# reload, delivery decode; the evicted-cached investigation fails if it
-# reloads). Timing the system is vmbench's job (vmbench-test, and
-# `python3 vmbench/run.py`); nothing here writes a tracked file.
+# full benchmark run. The last line smokes the online attack campaigns
+# through the viewmap-bench binary itself (quick scale, one shot; it
+# fails hard on any online/offline divergence or accepted fake). The
+# evidence micro-benchmarks (blind signing, release redaction) run once
+# each so they keep compiling and running, and so do the linker and
+# TrustRank micro-benchmarks in internal/core and every internal/server
+# benchmark (serving paths including the rebuild-per-request baseline,
+# segment reload, delivery decode; the evicted-cached investigation
+# fails if it reloads). Timing the system, the evidence cycle
+# included, is vmbench's job (vmbench-test, and `python3
+# vmbench/run.py`); nothing here writes a tracked file.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x .
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/core/
 	$(GO) test -run=NONE -bench='$(EVIDENCE_BENCH)' -benchtime=1x ./internal/reward/ ./internal/blur/
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/server/
-	$(GO) run ./cmd/viewmap-bench -run evidence -scale quick
 	$(GO) run ./cmd/viewmap-bench -run attack-serving -scale quick
 
 # The benchmark's own tests (vmbench is a module of its own that

@@ -283,24 +283,6 @@ func BenchmarkFig22f_Membership(b *testing.B) {
 	}
 }
 
-// BenchmarkEvidencePipeline runs the end-to-end evidence lifecycle
-// (solicit, anonymous deliver with cascade verification, blind-signed
-// payout, blurred release) and reports delivery throughput.
-func BenchmarkEvidencePipeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Evidence(sim.EvidenceConfig{
-			Convoys: 2, CiviliansPerConvoy: 2, Seed: int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.DeliveriesPerSec, "deliveries/s")
-			b.ReportMetric(res.VerifyMBps, "verify-MB/s")
-		}
-	}
-}
-
 // BenchmarkOverhead_VDVP reports the Section 6.1 size accounting.
 func BenchmarkOverhead_VDVP(b *testing.B) {
 	var o sim.OverheadReport

@@ -122,7 +122,6 @@ func experiments() []experiment {
 		{"fig22e", "city-scale concentration attacks", runFig22E},
 		{"fig22f", "viewmap member VP percentage", runFig22F},
 		{"overhead", "VD/VP communication and storage overhead", runOverhead},
-		{"evidence", "evidence pipeline: solicit, anonymous deliver + cascade verify, payout, blurred release (not in the paper)", runEvidence},
 		{"attack-serving", "online attack campaigns through the live HTTP serving path, cross-checked offline (not in the paper)", runAttackServing},
 		{"scenario", "city-scale scenario: multi-city fault-injected workload with SLO report and baseline cross-check (not in the paper)", runScenario},
 		{"scenario-faults", "fault families: crash-and-recover, clock skew, asymmetric partitions, long-horizon retention — each bit-for-bit against an unfaulted baseline (not in the paper)", runScenarioFaults},
@@ -393,24 +392,6 @@ func runFig22F(scale string, seed int64) error {
 
 func runOverhead(string, int64) error {
 	fmt.Println(sim.Overhead())
-	return nil
-}
-
-func runEvidence(scale string, seed int64) error {
-	res, err := sim.Evidence(sim.EvidenceConfig{
-		Convoys:            pick(scale, 4, 12),
-		CiviliansPerConvoy: pick(scale, 3, 6),
-		TamperEvery:        4,
-		Units:              2,
-		Workers:            pick(scale, 8, 16),
-		Seed:               seed,
-	})
-	if err != nil {
-		return err
-	}
-	for _, r := range res.Rows() {
-		fmt.Println(r)
-	}
 	return nil
 }
 

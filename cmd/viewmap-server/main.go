@@ -8,7 +8,10 @@
 //	viewmap-server [-addr :8440] [-authority-token TOKEN] [-bank-bits 2048]
 //	               [-dsrc-range 400] [-wal PATH] [-wal-sync 0s] [-snapshot-interval 60s]
 //	               [-retention N] [-resident-minutes N] [-max-upload-lag N]
-//	               [-no-metrics] [-slow-request 1s] [-pprof localhost:6060]
+//	               [-ingest-slots 64] [-ingest-queue 256]
+//	               [-investigate-slots 16] [-investigate-queue 64]
+//	               [-evidence-slots 32] [-evidence-queue 128] [-retry-after 1s]
+//	               [-slow-request 1s] [-pprof localhost:6060]
 //
 // If no authority token is supplied a random one is generated and
 // printed at startup; authorities pass it in the X-Viewmap-Authority
@@ -35,12 +38,20 @@
 // path) before it costs a WAL append. Trusted uploads are exempt —
 // the authority backfills history.
 //
-// Observability: GET /v1/metrics serves every latency histogram in
-// Prometheus text format and the latency/pipeline blocks of
-// GET /v1/stats serve the same data as quantiles (-no-metrics turns
-// both off); requests slower than -slow-request log one line with the
-// per-stage span breakdown; -pprof ADDR serves net/http/pprof on a
-// separate listener. docs/observability.md is the full guide.
+// Admission control: VP uploads, authority requests (investigations,
+// watches, solicitations, evidence releases) and owner evidence
+// requests (board, delivery, payout, redemption) each pass their own
+// gate of -ingest-slots, -investigate-slots or -evidence-slots
+// concurrent requests plus a bounded wait queue (-ingest-queue,
+// -investigate-queue, -evidence-queue); a request arriving at a full
+// queue is shed with 429 and a Retry-After hint of -retry-after.
+//
+// Observability: GET /v1/metrics serves every histogram of the
+// server's registry in Prometheus text format, and the latency,
+// pipeline and trustrank blocks of GET /v1/stats serve quantiles of
+// the same histograms; requests slower than -slow-request log one line
+// with the per-stage span breakdown; -pprof ADDR serves net/http/pprof
+// on a separate listener. docs/observability.md is the full guide.
 //
 // The store shards by unit-time window and links every uploaded VP
 // into its minute's viewmap at ingest, so investigations are answered
@@ -80,7 +91,6 @@ func main() {
 	evidenceQueue := flag.Int("evidence-queue", 0, "bounded evidence wait queue (0 = default of 128)")
 	retryAfter := flag.Duration("retry-after", 0, "backoff hint sent with 429 sheds, rounded up to whole seconds (0 = default of 1s)")
 	maxUploadLag := flag.Int("max-upload-lag", 0, "stale-minute admission window: refuse anonymous uploads whose minute trails the wall clock by more than N minutes (0 = accept any minute)")
-	noMetrics := flag.Bool("no-metrics", false, "disable the observability registry (GET /v1/metrics renders empty; the latency/pipeline stats blocks vanish)")
 	slowRequest := flag.Duration("slow-request", time.Second, "log one structured line, with the per-stage span breakdown, for requests slower than this (0 = off)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060; empty = off)")
 	flag.Parse()
@@ -88,7 +98,6 @@ func main() {
 	cfg := server.Config{
 		AuthorityToken:      *token,
 		BankBits:            *bankBits,
-		DisableMetrics:      *noMetrics,
 		SlowRequest:         *slowRequest,
 		MaxUploadLagMinutes: *maxUploadLag,
 		Store:               server.StoreConfig{DSRCRange: *dsrcRange},

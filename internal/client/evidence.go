@@ -311,7 +311,7 @@ type ServiceStats struct {
 	// Overload carries the admission-control counters.
 	Overload OverloadStats `json:"overload"`
 	// Latency holds the server-side per-endpoint request-latency
-	// summaries, ascending by path; empty when server metrics are off.
+	// summaries, ascending by path; empty until a request has completed.
 	Latency []EndpointLatency `json:"latency"`
 	// Pipeline holds the server-side ingest-stage latency summaries.
 	Pipeline PipelineStats `json:"pipeline"`

@@ -57,28 +57,6 @@ func (vm *Viewmap) TrustRank(cfg TrustRankConfig) ([]float64, error) {
 	return scores, err
 }
 
-// TrustRankFrom resumes the power iteration from a previously
-// converged score vector instead of the trust distribution vector.
-// The fixed point of P = delta*M*P + (1-delta)*d is unique and the
-// update contracts the L1 distance by delta per step, so any starting
-// vector converges to the same scores; starting near the fixed point
-// just takes fewer iterations. prev covers an id-prefix of the current
-// nodes (new nodes start from d); a nil prev, or one longer than the
-// viewmap, falls back to the cold start. Returns the scores and the
-// number of iterations executed.
-func (vm *Viewmap) TrustRankFrom(prev []float64, cfg TrustRankConfig) ([]float64, int, error) {
-	cfg = cfg.withDefaults()
-	d, p, err := vm.trustSeed(cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	if prev != nil && len(prev) <= len(p) {
-		copy(p, prev)
-	}
-	scores, iters := vm.powerIterate(d, p, cfg)
-	return scores, iters, nil
-}
-
 // trustRank is TrustRank plus the iteration count.
 func (vm *Viewmap) trustRank(cfg TrustRankConfig) ([]float64, int, error) {
 	cfg = cfg.withDefaults()

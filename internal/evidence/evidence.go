@@ -561,17 +561,19 @@ func (s *Service) Release(id vd.VPID) (chunks [][]byte, frames, regions int, err
 // GET /v1/stats.
 type Stats struct {
 	// OpenSolicitations counts board entries still awaiting delivery.
-	OpenSolicitations int
+	OpenSolicitations int `json:"openSolicitations"`
 	// DeliveriesAccepted and DeliveriesRejected count cascade-verified
 	// and refused uploads (rejections count tampered bytes and
 	// oversized videos; session or ownership failures never reach
 	// verification).
-	DeliveriesAccepted, DeliveriesRejected int
+	DeliveriesAccepted int `json:"deliveriesAccepted"`
+	DeliveriesRejected int `json:"deliveriesRejected"`
 	// UnitsMinted and UnitsRedeemed count blind signatures issued and
 	// cash units burned.
-	UnitsMinted, UnitsRedeemed int
+	UnitsMinted   int `json:"unitsMinted"`
+	UnitsRedeemed int `json:"unitsRedeemed"`
 	// Released counts redacted videos handed to investigators.
-	Released int
+	Released int `json:"released"`
 }
 
 // StatsSnapshot reads the current counters.

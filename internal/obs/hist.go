@@ -39,8 +39,8 @@ type histShard struct {
 
 // Histogram is a lock-free latency/size histogram with power-of-two
 // buckets. Record is wait-free (two atomic adds on a striped shard)
-// and a nil *Histogram is a valid no-op receiver, which is how the
-// disabled-metrics path compiles down to a nil check.
+// and a nil *Histogram is a valid no-op receiver, which is how a
+// component built without a registry records nothing.
 //
 // Units are the caller's: the server records durations in
 // nanoseconds and sizes in plain counts; the exposition layer owns
@@ -75,11 +75,6 @@ func (h *Histogram) Record(v int64) {
 	s := &h.shards[stackShard()]
 	s.counts[b].Add(1)
 	s.sum.Add(uint64(v))
-}
-
-// RecordSince is shorthand for recording an elapsed-nanosecond span.
-func (h *Histogram) RecordSince(startNS, nowNS int64) {
-	h.Record(nowNS - startNS)
 }
 
 // Snapshot is a point-in-time merge of a histogram's shards. It is a
@@ -165,12 +160,4 @@ func (s Snapshot) Quantile(q float64) uint64 {
 		}
 	}
 	return BucketUpper(numBuckets - 1)
-}
-
-// Mean is Sum/Count in the recorded unit, 0 when empty.
-func (s Snapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }

@@ -77,11 +77,10 @@ const (
 // Registry holds the fixed metric families of one server. All
 // histograms are created up front — the lookup on the record path is
 // a read-only map access or array index, never a lock or an
-// allocation. A nil or disabled registry hands out nil histograms,
-// whose Record is a nil-check no-op; that is the "metrics off"
-// configuration.
+// allocation. Every method is nil-safe: a nil registry hands out nil
+// histograms, whose Record is a nil-check no-op, so stores, WALs and
+// admission limiters built outside a server record nothing.
 type Registry struct {
-	enabled   bool
 	endpoints map[string]*Histogram
 	other     *Histogram
 	stages    [NumStages]*Histogram
@@ -91,40 +90,34 @@ type Registry struct {
 }
 
 // NewRegistry builds a registry over the given endpoint paths and
-// admission-class names. When enabled is false every accessor returns
-// nil and the exposition renders empty families.
-func NewRegistry(enabled bool, endpoints, classes []string) *Registry {
-	r := &Registry{enabled: enabled}
-	if !enabled {
-		return r
+// admission-class names.
+func NewRegistry(endpoints, classes []string) *Registry {
+	r := &Registry{
+		endpoints: make(map[string]*Histogram, len(endpoints)),
+		other:     &Histogram{},
+		walBatch:  &Histogram{},
+		depth:     make(map[string]*Histogram, len(classes)),
+		trustrank: map[string]*Histogram{
+			TrustRankWarm: {},
+			TrustRankCold: {},
+		},
 	}
-	r.endpoints = make(map[string]*Histogram, len(endpoints))
 	for _, e := range endpoints {
 		r.endpoints[e] = &Histogram{}
 	}
-	r.other = &Histogram{}
 	for i := range r.stages {
 		r.stages[i] = &Histogram{}
 	}
-	r.walBatch = &Histogram{}
-	r.depth = make(map[string]*Histogram, len(classes))
 	for _, c := range classes {
 		r.depth[c] = &Histogram{}
-	}
-	r.trustrank = map[string]*Histogram{
-		TrustRankWarm: {},
-		TrustRankCold: {},
 	}
 	return r
 }
 
-// Enabled reports whether the registry records anything.
-func (r *Registry) Enabled() bool { return r != nil && r.enabled }
-
 // Endpoint returns the latency histogram for a request path; paths
 // not registered up front share the "other" histogram.
 func (r *Registry) Endpoint(path string) *Histogram {
-	if !r.Enabled() {
+	if r == nil {
 		return nil
 	}
 	if h, ok := r.endpoints[path]; ok {
@@ -135,7 +128,7 @@ func (r *Registry) Endpoint(path string) *Histogram {
 
 // Stage returns the pipeline histogram for one ingest stage.
 func (r *Registry) Stage(s Stage) *Histogram {
-	if !r.Enabled() || s < 0 || s >= NumStages {
+	if r == nil || s < 0 || s >= NumStages {
 		return nil
 	}
 	return r.stages[s]
@@ -143,7 +136,7 @@ func (r *Registry) Stage(s Stage) *Histogram {
 
 // WALBatch returns the group-commit batch-size histogram.
 func (r *Registry) WALBatch() *Histogram {
-	if !r.Enabled() {
+	if r == nil {
 		return nil
 	}
 	return r.walBatch
@@ -152,7 +145,7 @@ func (r *Registry) WALBatch() *Histogram {
 // QueueDepth returns the admission-queue-depth histogram for a class,
 // or nil for an unknown class.
 func (r *Registry) QueueDepth(class string) *Histogram {
-	if !r.Enabled() {
+	if r == nil {
 		return nil
 	}
 	return r.depth[class]
@@ -162,7 +155,7 @@ func (r *Registry) QueueDepth(class string) *Histogram {
 // verification mode (TrustRankWarm or TrustRankCold), or nil for an
 // unknown mode.
 func (r *Registry) TrustRank(mode string) *Histogram {
-	if !r.Enabled() {
+	if r == nil {
 		return nil
 	}
 	return r.trustrank[mode]
@@ -172,7 +165,7 @@ func (r *Registry) TrustRank(mode string) *Histogram {
 // verification mode, keyed by mode, skipping empty ones.
 func (r *Registry) TrustRankSnapshots() map[string]Snapshot {
 	out := make(map[string]Snapshot)
-	if !r.Enabled() {
+	if r == nil {
 		return out
 	}
 	for mode, h := range r.trustrank {
@@ -187,7 +180,7 @@ func (r *Registry) TrustRankSnapshots() map[string]Snapshot {
 // path (the catch-all under "other"), skipping empty ones.
 func (r *Registry) EndpointSnapshots() map[string]Snapshot {
 	out := make(map[string]Snapshot)
-	if !r.Enabled() {
+	if r == nil {
 		return out
 	}
 	for p, h := range r.endpoints {
@@ -205,7 +198,7 @@ func (r *Registry) EndpointSnapshots() map[string]Snapshot {
 // Stage.
 func (r *Registry) StageSnapshots() [NumStages]Snapshot {
 	var out [NumStages]Snapshot
-	if !r.Enabled() {
+	if r == nil {
 		return out
 	}
 	for i, h := range r.stages {
@@ -216,53 +209,29 @@ func (r *Registry) StageSnapshots() [NumStages]Snapshot {
 
 // WALBatchSnapshot returns the group-commit batch-size snapshot.
 func (r *Registry) WALBatchSnapshot() Snapshot {
-	if !r.Enabled() {
-		return Snapshot{}
-	}
-	return r.walBatch.Snapshot()
+	return r.WALBatch().Snapshot()
 }
 
 // WritePrometheus renders every family in the Prometheus text
 // exposition format (version 0.0.4), deterministically ordered.
 // Duration histograms are converted from recorded nanoseconds to
-// seconds; size histograms stay in raw counts.
+// seconds; size histograms stay in raw counts. A nil registry renders
+// the family headers only.
 func (r *Registry) WritePrometheus(w io.Writer) {
-	writeFamily(w, MetricHTTPRequestSeconds, "endpoint", r.sortedEndpoints(), true)
-	stages := make([]labeledHist, 0, NumStages)
-	if r.Enabled() {
+	var endpoints, stages, batch, depth, tr []labeledHist
+	if r != nil {
+		endpoints = append(sortedHists(r.endpoints), labeledHist{"other", r.other})
 		for i, h := range r.stages {
 			stages = append(stages, labeledHist{Stage(i).String(), h})
 		}
-	}
-	writeFamily(w, MetricIngestStageSeconds, "stage", stages, true)
-	var batch []labeledHist
-	if r.Enabled() {
 		batch = []labeledHist{{"", r.walBatch}}
+		depth = sortedHists(r.depth)
+		tr = sortedHists(r.trustrank)
 	}
+	writeFamily(w, MetricHTTPRequestSeconds, "endpoint", endpoints, true)
+	writeFamily(w, MetricIngestStageSeconds, "stage", stages, true)
 	writeFamily(w, MetricWALCommitBatchRecords, "", batch, false)
-	var depth []labeledHist
-	if r.Enabled() {
-		classes := make([]string, 0, len(r.depth))
-		for c := range r.depth {
-			classes = append(classes, c)
-		}
-		sort.Strings(classes)
-		for _, c := range classes {
-			depth = append(depth, labeledHist{c, r.depth[c]})
-		}
-	}
 	writeFamily(w, MetricAdmissionQueueDepth, "class", depth, false)
-	var tr []labeledHist
-	if r.Enabled() {
-		modes := make([]string, 0, len(r.trustrank))
-		for m := range r.trustrank {
-			modes = append(modes, m)
-		}
-		sort.Strings(modes)
-		for _, m := range modes {
-			tr = append(tr, labeledHist{m, r.trustrank[m]})
-		}
-	}
 	writeFamily(w, MetricTrustRankIterations, "mode", tr, false)
 }
 
@@ -271,20 +240,14 @@ type labeledHist struct {
 	h     *Histogram
 }
 
-func (r *Registry) sortedEndpoints() []labeledHist {
-	if !r.Enabled() {
-		return nil
+// sortedHists lists a labeled family's histograms by label.
+func sortedHists(m map[string]*Histogram) []labeledHist {
+	out := make([]labeledHist, 0, len(m))
+	for label, h := range m {
+		out = append(out, labeledHist{label, h})
 	}
-	paths := make([]string, 0, len(r.endpoints))
-	for p := range r.endpoints {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	out := make([]labeledHist, 0, len(paths)+1)
-	for _, p := range paths {
-		out = append(out, labeledHist{p, r.endpoints[p]})
-	}
-	return append(out, labeledHist{"other", r.other})
+	sort.Slice(out, func(i, j int) bool { return out[i].label < out[j].label })
+	return out
 }
 
 // writeFamily emits one histogram family. Cumulative buckets stop at

@@ -11,7 +11,7 @@ import (
 // the text exposition: every family header present, cumulative
 // buckets monotone, label sets and unit conversion correct.
 func TestRegistryPrometheusExposition(t *testing.T) {
-	r := NewRegistry(true, []string{"/v1/vp/batch", "/v1/investigate"}, []string{"ingest", "investigate"})
+	r := NewRegistry([]string{"/v1/vp/batch", "/v1/investigate"}, []string{"ingest", "investigate"})
 	r.Endpoint("/v1/vp/batch").Record(int64(3 * time.Millisecond))
 	r.Endpoint("/v1/vp/batch").Record(int64(9 * time.Millisecond))
 	r.Endpoint("/v1/unknown").Record(int64(time.Millisecond)) // lands in "other"
@@ -41,36 +41,33 @@ func TestRegistryPrometheusExposition(t *testing.T) {
 	}
 }
 
-// TestRegistryDisabled: a disabled (or nil) registry hands out nil
-// histograms, records nothing, and renders empty families.
-func TestRegistryDisabled(t *testing.T) {
-	for _, r := range []*Registry{nil, NewRegistry(false, []string{"/x"}, []string{"ingest"})} {
-		if r.Enabled() {
-			t.Fatal("disabled registry reports enabled")
-		}
-		if h := r.Endpoint("/x"); h != nil {
-			t.Fatal("disabled registry returned a live histogram")
-		}
-		r.Endpoint("/x").Record(5) // nil receiver: must not panic
-		r.Stage(StageFsync).Record(5)
-		r.WALBatch().Record(5)
-		r.QueueDepth("ingest").Record(5)
-		if n := len(r.EndpointSnapshots()); n != 0 {
-			t.Fatalf("disabled registry snapshotted %d endpoints", n)
-		}
-		var b strings.Builder
-		r.WritePrometheus(&b)
-		if strings.Contains(b.String(), "_count{") {
-			t.Fatalf("disabled exposition has series:\n%s", b.String())
-		}
+// TestNilRegistry: a nil registry — what a store, WAL or admission
+// limiter built outside a server carries — hands out nil histograms,
+// records nothing, and renders empty families.
+func TestNilRegistry(t *testing.T) {
+	var r *Registry
+	if h := r.Endpoint("/x"); h != nil {
+		t.Fatal("nil registry returned a live histogram")
+	}
+	r.Endpoint("/x").Record(5) // nil receiver: must not panic
+	r.Stage(StageFsync).Record(5)
+	r.WALBatch().Record(5)
+	r.QueueDepth("ingest").Record(5)
+	if n := len(r.EndpointSnapshots()); n != 0 {
+		t.Fatalf("nil registry snapshotted %d endpoints", n)
+	}
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	if strings.Contains(b.String(), "_count{") {
+		t.Fatalf("nil registry's exposition has series:\n%s", b.String())
 	}
 }
 
-// TestRecordPathAllocFree: recording allocates nothing, whether
-// metrics are off (a nil histogram) or on (each record-path accessor
-// of an enabled registry, including the "other" endpoint fallback).
+// TestRecordPathAllocFree: recording allocates nothing, through a nil
+// histogram or through each record-path accessor of a registry,
+// including the "other" endpoint fallback.
 func TestRecordPathAllocFree(t *testing.T) {
-	r := NewRegistry(true, []string{"/v1/vp/batch"}, []string{"ingest"})
+	r := NewRegistry([]string{"/v1/vp/batch"}, []string{"ingest"})
 	var off *Histogram
 	for _, c := range []struct {
 		name   string

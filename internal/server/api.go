@@ -471,98 +471,20 @@ func Handler(sys *System) http.Handler {
 		sys.metrics.WritePrometheus(w)
 	})
 	handle("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		ev := sys.Evidence().StatsSnapshot()
-		shardStats := sys.Store().ShardStats()
-		ingest := sys.Store().IngestStatsFrom(shardStats)
-		ret := sys.Store().RetentionStatsSnapshot()
-		dur := sys.DurabilityStatsSnapshot()
-		ov := sys.OverloadStatsSnapshot()
-		shards := make([]shardStatJSON, len(shardStats))
-		for i, sh := range shardStats {
-			shards[i] = shardStatJSON{
-				Minute: sh.Minute, VPs: sh.VPs,
-				Quarantined: sh.Quarantined, Epoch: sh.Epoch,
-			}
-		}
-		lat := sys.LatencyStats()
-		latJSON := make([]endpointLatencyJSON, len(lat))
-		for i, l := range lat {
-			latJSON[i] = endpointLatencyJSON{
-				Endpoint: l.Endpoint,
-				Requests: l.Requests,
-				P50MS:    float64(l.P50) / float64(time.Millisecond),
-				P99MS:    float64(l.P99) / float64(time.Millisecond),
-			}
-		}
-		pipe := sys.PipelineStatsSnapshot()
-		pipeJSON := pipelineStatsJSON{
-			Stages: make([]pipelineStageJSON, len(pipe.Stages)),
-			WALCommitBatch: walBatchJSON{
-				Commits:    pipe.WALCommitBatch.Commits,
-				P50Records: pipe.WALCommitBatch.P50Records,
-				P99Records: pipe.WALCommitBatch.P99Records,
-			},
-		}
-		for i, st := range pipe.Stages {
-			pipeJSON.Stages[i] = pipelineStageJSON{
-				Stage:   st.Stage,
-				Count:   st.Count,
-				P50US:   float64(st.P50) / float64(time.Microsecond),
-				P99US:   float64(st.P99) / float64(time.Microsecond),
-				TotalMS: float64(st.Total) / float64(time.Millisecond),
-			}
-		}
+		shards := sys.Store().ShardStats()
 		writeJSON(w, statsResponse{
-			VPs:     sys.Store().Len(),
-			Trusted: sys.Store().TrustedCount(),
-			Minutes: sys.Store().MinuteCount(),
-			Ingest: ingestStatsJSON{
-				Rejected:     ingest.Rejected,
-				WireRejected: ingest.WireRejected,
-				Duplicates:   ingest.Duplicates,
-				Quarantined:  ingest.Quarantined,
-				Stale:        ingest.Stale,
-			},
-			Shards: shards,
-			Retention: retentionStatsJSON{
-				ResidentMinutes: ret.ResidentMinutes,
-				ColdResident:    ret.ColdResident,
-				EvictedMinutes:  ret.EvictedMinutes,
-				Evictions:       ret.Evictions,
-				EvictionTotalMS: ret.EvictionTotalMS,
-				Reloads:         ret.Reloads,
-				ReloadTotalMS:   ret.ReloadTotalMS,
-			},
-			Durability: durabilityStatsJSON{
-				Enabled:         dur.Enabled,
-				AppendedLSN:     dur.AppendedLSN,
-				SyncedLSN:       dur.SyncedLSN,
-				SnapshotLSN:     dur.SnapshotLSN,
-				Snapshots:       dur.Snapshots,
-				Replayed:        dur.Replayed,
-				Fsyncs:          dur.Fsyncs,
-				FsyncTotalMS:    dur.FsyncTotalMS,
-				SnapshotTotalMS: dur.SnapshotTotalMS,
-				LastSnapshotMS:  dur.LastSnapshotMS,
-				LastError:       dur.LastError,
-			},
-			Evidence: evidenceStatsJSON{
-				OpenSolicitations:  ev.OpenSolicitations,
-				DeliveriesAccepted: ev.DeliveriesAccepted,
-				DeliveriesRejected: ev.DeliveriesRejected,
-				UnitsMinted:        ev.UnitsMinted,
-				UnitsRedeemed:      ev.UnitsRedeemed,
-				Released:           ev.Released,
-			},
-			Overload: overloadStatsJSON{
-				Ingest:            classStatsJSON(ov.Ingest),
-				Investigate:       classStatsJSON(ov.Investigate),
-				Evidence:          classStatsJSON(ov.Evidence),
-				RetryAfterSeconds: ov.RetryAfterSeconds,
-			},
-			Latency:   latJSON,
-			Pipeline:  pipeJSON,
-			TrustRank: trustRankJSON(sys.TrustRankStats()),
+			VPs:        sys.Store().Len(),
+			Trusted:    sys.Store().TrustedCount(),
+			Minutes:    sys.Store().MinuteCount(),
+			Ingest:     sys.Store().IngestStatsFrom(shards),
+			Shards:     shards,
+			Retention:  sys.Store().RetentionStatsSnapshot(),
+			Durability: sys.DurabilityStatsSnapshot(),
+			Evidence:   sys.Evidence().StatsSnapshot(),
+			Overload:   sys.OverloadStatsSnapshot(),
+			Latency:    latencyJSON(sys.metrics),
+			Pipeline:   pipelineJSON(sys.metrics),
+			TrustRank:  sys.TrustRankStats(),
 		})
 	})
 	return withTelemetry(sys, withAdmission(sys.overload, mux))
@@ -639,41 +561,22 @@ type bankResponse struct {
 	E int    `json:"e"`
 }
 
+// statsResponse is GET /v1/stats: the server's own counter structs,
+// marshalled as they are, plus the latency and pipeline rows built
+// from the registry's histograms (telemetry.go).
 type statsResponse struct {
-	VPs        int                          `json:"vps"`
-	Trusted    int                          `json:"trusted"`
-	Minutes    int                          `json:"minutes"`
-	Ingest     ingestStatsJSON              `json:"ingest"`
-	Shards     []shardStatJSON              `json:"shards"`
-	Retention  retentionStatsJSON           `json:"retention"`
-	Durability durabilityStatsJSON          `json:"durability"`
-	Evidence   evidenceStatsJSON            `json:"evidence"`
-	Overload   overloadStatsJSON            `json:"overload"`
-	Latency    []endpointLatencyJSON        `json:"latency"`
-	Pipeline   pipelineStatsJSON            `json:"pipeline"`
-	TrustRank  map[string]trustRankModeJSON `json:"trustrank"`
-}
-
-// trustRankModeJSON summarizes one verification mode ("warm"/"cold")
-// in GET /v1/stats: how many verifications ran that way and how many
-// power iterations they needed.
-type trustRankModeJSON struct {
-	Verifications uint64 `json:"verifications"`
-	P50Iterations uint64 `json:"p50Iterations"`
-	P99Iterations uint64 `json:"p99Iterations"`
-}
-
-// trustRankJSON converts the mode snapshots to their wire form.
-func trustRankJSON(stats map[string]TrustRankModeStats) map[string]trustRankModeJSON {
-	out := make(map[string]trustRankModeJSON, len(stats))
-	for mode, s := range stats {
-		out[mode] = trustRankModeJSON{
-			Verifications: s.Verifications,
-			P50Iterations: s.P50Iterations,
-			P99Iterations: s.P99Iterations,
-		}
-	}
-	return out
+	VPs        int                           `json:"vps"`
+	Trusted    int                           `json:"trusted"`
+	Minutes    int                           `json:"minutes"`
+	Ingest     IngestStats                   `json:"ingest"`
+	Shards     []ShardStat                   `json:"shards"`
+	Retention  RetentionStats                `json:"retention"`
+	Durability DurabilityStats               `json:"durability"`
+	Evidence   evidence.Stats                `json:"evidence"`
+	Overload   OverloadStats                 `json:"overload"`
+	Latency    []endpointLatencyJSON         `json:"latency"`
+	Pipeline   pipelineStatsJSON             `json:"pipeline"`
+	TrustRank  map[string]TrustRankModeStats `json:"trustrank"`
 }
 
 type endpointLatencyJSON struct {
@@ -702,66 +605,6 @@ type pipelineStatsJSON struct {
 	WALCommitBatch walBatchJSON        `json:"walCommitBatch"`
 }
 
-type classAdmissionJSON struct {
-	Admitted uint64 `json:"admitted"`
-	Shed     uint64 `json:"shed"`
-	Queued   int    `json:"queued"`
-	Active   int    `json:"active"`
-}
-
-// classStatsJSON converts one gate's snapshot to its wire form.
-func classStatsJSON(s ClassAdmissionStats) classAdmissionJSON {
-	return classAdmissionJSON{
-		Admitted: s.Admitted, Shed: s.Shed, Queued: s.Queued, Active: s.Active,
-	}
-}
-
-type overloadStatsJSON struct {
-	Ingest            classAdmissionJSON `json:"ingest"`
-	Investigate       classAdmissionJSON `json:"investigate"`
-	Evidence          classAdmissionJSON `json:"evidence"`
-	RetryAfterSeconds int                `json:"retryAfterSeconds"`
-}
-
-type retentionStatsJSON struct {
-	ResidentMinutes int     `json:"residentMinutes"`
-	ColdResident    int     `json:"coldResident"`
-	EvictedMinutes  int     `json:"evictedMinutes"`
-	Evictions       int64   `json:"evictions"`
-	EvictionTotalMS float64 `json:"evictionTotalMs"`
-	Reloads         int64   `json:"reloads"`
-	ReloadTotalMS   float64 `json:"reloadTotalMs"`
-}
-
-type durabilityStatsJSON struct {
-	Enabled         bool    `json:"enabled"`
-	AppendedLSN     uint64  `json:"appendedLSN"`
-	SyncedLSN       uint64  `json:"syncedLSN"`
-	SnapshotLSN     uint64  `json:"snapshotLSN"`
-	Snapshots       int     `json:"snapshots"`
-	Replayed        int     `json:"replayed"`
-	Fsyncs          int64   `json:"fsyncs"`
-	FsyncTotalMS    float64 `json:"fsyncTotalMs"`
-	SnapshotTotalMS float64 `json:"snapshotTotalMs"`
-	LastSnapshotMS  float64 `json:"lastSnapshotMs"`
-	LastError       string  `json:"lastError,omitempty"`
-}
-
-type ingestStatsJSON struct {
-	Rejected     int `json:"rejected"`
-	WireRejected int `json:"wireRejected"`
-	Duplicates   int `json:"duplicates"`
-	Quarantined  int `json:"quarantined"`
-	Stale        int `json:"stale"`
-}
-
-type shardStatJSON struct {
-	Minute      int64  `json:"minute"`
-	VPs         int    `json:"vps"`
-	Quarantined int    `json:"quarantined"`
-	Epoch       uint64 `json:"epoch"`
-}
-
 type verdictJSON struct {
 	ID         string `json:"id"`
 	Trusted    bool   `json:"trusted"`
@@ -775,15 +618,6 @@ type reportResponse struct {
 	Edges    int           `json:"edges"`
 	InSite   int           `json:"inSite"`
 	Verdicts []verdictJSON `json:"verdicts"`
-}
-
-type evidenceStatsJSON struct {
-	OpenSolicitations  int `json:"openSolicitations"`
-	DeliveriesAccepted int `json:"deliveriesAccepted"`
-	DeliveriesRejected int `json:"deliveriesRejected"`
-	UnitsMinted        int `json:"unitsMinted"`
-	UnitsRedeemed      int `json:"unitsRedeemed"`
-	Released           int `json:"released"`
 }
 
 type solicitRequest struct {

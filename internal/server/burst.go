@@ -56,8 +56,7 @@ type burst struct {
 
 	// tr, when non-nil, is the originating request's trace; the worker
 	// charges the burst's ring-wait, Stage, and commit spans to it.
-	// enqueued stamps the ring push for the ring-wait span; zero when
-	// observability is off (the worker then skips all timing).
+	// enqueued stamps the ring push for the ring-wait span.
 	tr       *obs.Trace
 	enqueued time.Time
 
@@ -219,35 +218,17 @@ func failBursts(bs []*burst) {
 // acquisition. Returns false — with nothing committed and the staging
 // state abandoned — when the shard was evicted underneath.
 func (s *Store) processBursts(sh *minuteShard, bursts []*burst) bool {
-	// All stage timing keys off the push timestamp: submitBurst stamps
-	// it only when observability is on, so the disabled path pays an
-	// IsZero check per burst and no clock reads.
-	timed := false
+	pickup := time.Now()
 	for _, b := range bursts {
-		if !b.enqueued.IsZero() {
-			timed = true
-			break
-		}
-	}
-	if timed {
-		pickup := time.Now()
-		for _, b := range bursts {
-			if b.enqueued.IsZero() {
-				continue
-			}
-			wait := pickup.Sub(b.enqueued)
-			s.metrics.Stage(obs.StageRingWait).Record(int64(wait))
-			b.tr.Observe(obs.StageRingWait, wait)
-		}
+		wait := pickup.Sub(b.enqueued)
+		s.metrics.Stage(obs.StageRingWait).Record(int64(wait))
+		b.tr.Observe(obs.StageRingWait, wait)
 	}
 
 	// Stage phase: admission, candidate enumeration, Bloom probing.
 	// Builder staging state is worker-private, so no lock is held.
 	for _, b := range bursts {
-		var stageStart time.Time
-		if timed {
-			stageStart = time.Now()
-		}
+		stageStart := time.Now()
 		for i, p := range b.profiles {
 			ok, err := sh.builder.Stage(p)
 			switch {
@@ -257,19 +238,14 @@ func (s *Store) processBursts(sh *minuteShard, bursts []*burst) bool {
 				b.quarantined++
 			}
 		}
-		if timed {
-			d := time.Since(stageStart)
-			s.metrics.Stage(obs.StageLink).Record(int64(d))
-			b.tr.Observe(obs.StageLink, d)
-		}
+		d := time.Since(stageStart)
+		s.metrics.Stage(obs.StageLink).Record(int64(d))
+		b.tr.Observe(obs.StageLink, d)
 	}
 
 	// Commit phase: splice the staged graph and append the slab under
 	// one lock hold.
-	var commitStart time.Time
-	if timed {
-		commitStart = time.Now()
-	}
+	commitStart := time.Now()
 	sh.mu.Lock()
 	if sh.evicted {
 		sh.mu.Unlock()
@@ -298,15 +274,13 @@ func (s *Store) processBursts(sh *minuteShard, bursts []*burst) bool {
 	minute := sh.builder.Minute()
 	sh.mu.Unlock()
 
-	if timed {
-		// One CommitStaged covered the whole drain: the histogram gets
-		// one sample, and every covered request is charged the full
-		// span (spans may therefore overlap across requests).
-		d := time.Since(commitStart)
-		s.metrics.Stage(obs.StageCommit).Record(int64(d))
-		for _, b := range bursts {
-			b.tr.Observe(obs.StageCommit, d)
-		}
+	// One CommitStaged covered the whole drain: the histogram gets one
+	// sample, and every covered request is charged the full span (spans
+	// may therefore overlap across requests).
+	d := time.Since(commitStart)
+	s.metrics.Stage(obs.StageCommit).Record(int64(d))
+	for _, b := range bursts {
+		b.tr.Observe(obs.StageCommit, d)
 	}
 
 	// Accounting and acknowledgement, off the shard lock.
@@ -348,9 +322,9 @@ func (s *Store) submitBurst(m int64, profiles []*vp.Profile, countRejects bool, 
 		if err != nil {
 			return nil, err
 		}
-		b := &burst{profiles: profiles, countRejects: countRejects, done: make(chan struct{}), tr: tr}
-		if s.metrics.Enabled() || tr != nil {
-			b.enqueued = time.Now()
+		b := &burst{
+			profiles: profiles, countRejects: countRejects, done: make(chan struct{}), tr: tr,
+			enqueued: time.Now(),
 		}
 		if !sh.ring.push(b) {
 			continue

@@ -253,21 +253,23 @@ func (*overloadError) Error() string {
 // GET /v1/stats.
 type ClassAdmissionStats struct {
 	// Admitted counts requests that got a slot (after queueing or not).
-	Admitted uint64
+	Admitted uint64 `json:"admitted"`
 	// Shed counts requests turned away with 429.
-	Shed uint64
+	Shed uint64 `json:"shed"`
 	// Queued is the instantaneous wait-queue depth.
-	Queued int
+	Queued int `json:"queued"`
 	// Active is the instantaneous in-flight request count.
-	Active int
+	Active int `json:"active"`
 }
 
 // OverloadStats are the admission-control counters of GET /v1/stats.
 type OverloadStats struct {
 	// Ingest, Investigate, and Evidence are the per-class gates.
-	Ingest, Investigate, Evidence ClassAdmissionStats
+	Ingest      ClassAdmissionStats `json:"ingest"`
+	Investigate ClassAdmissionStats `json:"investigate"`
+	Evidence    ClassAdmissionStats `json:"evidence"`
 	// RetryAfterSeconds echoes the backoff hint sent with sheds.
-	RetryAfterSeconds int
+	RetryAfterSeconds int `json:"retryAfterSeconds"`
 }
 
 // OverloadStatsSnapshot reads the admission gates' counters.

@@ -572,22 +572,22 @@ func (s *Store) touch(sh *minuteShard) {
 // RetentionStats describe the store's resident/evicted split.
 type RetentionStats struct {
 	// ResidentMinutes counts minute shards currently in memory.
-	ResidentMinutes int
+	ResidentMinutes int `json:"residentMinutes"`
 	// ColdResident counts the resident shards that were reloaded from
 	// segment files (bounded by the cold LRU cap).
-	ColdResident int
+	ColdResident int `json:"coldResident"`
 	// EvictedMinutes counts minutes that live only in segment files.
-	EvictedMinutes int
+	EvictedMinutes int `json:"evictedMinutes"`
 	// Evictions counts shard evictions this process lifetime;
 	// EvictionTotalMS is their cumulative wall time (spill + drop) in
 	// milliseconds.
-	Evictions       int64
-	EvictionTotalMS float64
+	Evictions       int64   `json:"evictions"`
+	EvictionTotalMS float64 `json:"evictionTotalMs"`
 	// Reloads counts successful segment reloads this process lifetime;
 	// ReloadTotalMS is their cumulative wall time (read, decode, restore
 	// and install) in milliseconds.
-	Reloads       int64
-	ReloadTotalMS float64
+	Reloads       int64   `json:"reloads"`
+	ReloadTotalMS float64 `json:"reloadTotalMs"`
 }
 
 // RetentionStatsSnapshot reads the current resident/evicted split.

@@ -545,19 +545,19 @@ type IngestStats struct {
 	// Rejected counts profiles that failed §5.1.1 structural
 	// validation (truncated minutes, inconsistent identifiers,
 	// poisoned filters).
-	Rejected int
+	Rejected int `json:"rejected"`
 	// WireRejected counts wire records that did not even parse into a
 	// profile (counted by the System on the HTTP paths).
-	WireRejected int
+	WireRejected int `json:"wireRejected"`
 	// Duplicates counts uploads rejected for an already-claimed
 	// identifier — replays, whatever minute they pretended to be from.
-	Duplicates int
+	Duplicates int `json:"duplicates"`
 	// Quarantined counts stored profiles the incremental linker
 	// refused to link (implausible trajectories), summed over shards.
-	Quarantined int
+	Quarantined int `json:"quarantined"`
 	// Stale counts uploads rejected by the wall-clock admission
 	// window (Config.MaxUploadLagMinutes); zero with the gate unarmed.
-	Stale int
+	Stale int `json:"stale"`
 }
 
 // IngestStatsSnapshot reads the current ingest counters.
@@ -602,13 +602,13 @@ func (s *Store) noteStaleRejected(n int) {
 // ShardStat describes one minute shard's attack-facing state.
 type ShardStat struct {
 	// Minute is the shard's unit-time window.
-	Minute int64
+	Minute int64 `json:"minute"`
 	// VPs counts profiles stored in the shard's slab.
-	VPs int
+	VPs int `json:"vps"`
 	// Quarantined counts slab profiles the linker refused to link.
-	Quarantined int
+	Quarantined int `json:"quarantined"`
 	// Epoch is the shard builder's ingest epoch.
-	Epoch uint64
+	Epoch uint64 `json:"epoch"`
 }
 
 // ShardStats returns one ShardStat per minute shard, ascending by

@@ -43,8 +43,7 @@ type System struct {
 	// handler sheds load through (overload.go).
 	overload *overloadLimiter
 
-	// metrics is the observability registry (telemetry.go); always
-	// non-nil, disabled (nil histograms) under Config.DisableMetrics.
+	// metrics is the observability registry (telemetry.go); never nil.
 	metrics *obs.Registry
 	// now is the admission clock (Config.Now, defaulted to time.Now);
 	// maxUploadLag arms the stale-minute upload gate when positive.
@@ -132,10 +131,6 @@ type Config struct {
 	// Overload bounds concurrent work per endpoint class on the HTTP
 	// surface (overload.go); the zero value selects generous defaults.
 	Overload OverloadConfig
-	// DisableMetrics turns the observability registry into a no-op:
-	// every histogram access returns nil and the record path reduces
-	// to a nil check (viewmap-server -no-metrics).
-	DisableMetrics bool
 	// SlowRequest is the tracing threshold: a request slower than this
 	// emits one structured log line with its per-stage span breakdown.
 	// Zero disables slow-request logging (the default; viewmap-server
@@ -194,7 +189,7 @@ func NewSystem(cfg Config) (*System, error) {
 		evidence:       ev,
 		authorityToken: token,
 		overload:       newOverloadLimiter(cfg.Overload),
-		metrics:        obs.NewRegistry(!cfg.DisableMetrics, knownEndpoints(), admissionClassNames()),
+		metrics:        obs.NewRegistry(knownEndpoints(), admissionClassNames()),
 		slowRequest:    cfg.SlowRequest,
 		now:            now,
 		maxUploadLag:   cfg.MaxUploadLagMinutes,
@@ -659,14 +654,14 @@ func (sys *System) noteTrustRank(stats core.VerifyStats) {
 // warm (resumed from a cached score vector) or cold, and the
 // iteration-count quantiles they needed.
 type TrustRankModeStats struct {
-	Verifications uint64
-	P50Iterations uint64
-	P99Iterations uint64
+	Verifications uint64 `json:"verifications"`
+	P50Iterations uint64 `json:"p50Iterations"`
+	P99Iterations uint64 `json:"p99Iterations"`
 }
 
 // TrustRankStats reads the per-mode verification histograms, keyed by
 // obs.TrustRankWarm / obs.TrustRankCold; modes with no verifications
-// yet are absent. Empty when metrics are disabled.
+// yet are absent.
 func (sys *System) TrustRankStats() map[string]TrustRankModeStats {
 	out := make(map[string]TrustRankModeStats)
 	for mode, s := range sys.metrics.TrustRankSnapshots() {

@@ -15,8 +15,9 @@ import (
 // emits one structured log line — with the full per-stage span
 // breakdown — for requests slower than the configured threshold.
 // GET /v1/metrics serves every histogram in Prometheus text format;
-// the latency/pipeline blocks of GET /v1/stats serve the same data as
-// pre-computed quantiles. docs/observability.md is the catalog.
+// the latency, pipeline and trustrank blocks of GET /v1/stats serve
+// quantiles of the same histograms, and its durability fsync counters
+// read the same fsync stage. docs/observability.md is the catalog.
 
 // knownEndpoints lists the HTTP paths that get their own latency
 // histogram — the route table's; anything else (typos, probes) shares
@@ -33,14 +34,9 @@ func knownEndpoints() []string {
 // queueing shows up in the request latency): it mints a trace, hands
 // it to the handler through the request context, times the request
 // into the endpoint histogram, and logs slow requests with their span
-// breakdown. With metrics disabled and no slow-request threshold the
-// middleware is two branch tests per request.
+// breakdown.
 func withTelemetry(sys *System, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !sys.metrics.Enabled() && sys.slowRequest <= 0 {
-			next.ServeHTTP(w, r)
-			return
-		}
 		tr := obs.StartTrace()
 		next.ServeHTTP(w, r.WithContext(obs.WithTrace(r.Context(), tr)))
 		elapsed := time.Since(tr.Start())
@@ -52,89 +48,41 @@ func withTelemetry(sys *System, next http.Handler) http.Handler {
 	})
 }
 
-// EndpointLatency is one endpoint's request-latency summary in
-// GET /v1/stats (quantiles are bucket upper bounds; see obs.Quantile
-// for the ≤2× bracket they carry).
-type EndpointLatency struct {
-	// Endpoint is the request path ("other" for unregistered paths).
-	Endpoint string
-	// Requests counts recorded requests.
-	Requests uint64
-	// P50 and P99 are latency quantile estimates.
-	P50, P99 time.Duration
-}
-
-// LatencyStats summarizes the per-endpoint latency histograms, sorted
-// by path; empty when metrics are disabled.
-func (sys *System) LatencyStats() []EndpointLatency {
-	snaps := sys.metrics.EndpointSnapshots()
-	paths := make([]string, 0, len(snaps))
-	for p := range snaps {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	out := make([]EndpointLatency, 0, len(paths))
-	for _, p := range paths {
-		s := snaps[p]
-		out = append(out, EndpointLatency{
+// latencyJSON builds the latency block of GET /v1/stats from the
+// registry's endpoint histograms, sorted by path (quantiles are bucket
+// upper bounds; see obs.Quantile for the ≤2× bracket they carry).
+func latencyJSON(reg *obs.Registry) []endpointLatencyJSON {
+	snaps := reg.EndpointSnapshots()
+	out := make([]endpointLatencyJSON, 0, len(snaps))
+	for p, s := range snaps {
+		out = append(out, endpointLatencyJSON{
 			Endpoint: p,
 			Requests: s.Count,
-			P50:      time.Duration(s.Quantile(0.50)),
-			P99:      time.Duration(s.Quantile(0.99)),
+			P50MS:    float64(s.Quantile(0.50)) / float64(time.Millisecond),
+			P99MS:    float64(s.Quantile(0.99)) / float64(time.Millisecond),
 		})
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Endpoint < out[j].Endpoint })
 	return out
 }
 
-// StageLatency is one ingest-pipeline stage's summary in GET /v1/stats.
-type StageLatency struct {
-	// Stage is the stage label (obs.Stage.String).
-	Stage string
-	// Count is the number of recorded spans.
-	Count uint64
-	// P50 and P99 are span quantile estimates.
-	P50, P99 time.Duration
-	// Total is the cumulative recorded span time.
-	Total time.Duration
-}
-
-// WALBatchStats summarizes the group-commit batch-size histogram.
-type WALBatchStats struct {
-	// Commits counts group-commit fsyncs observed.
-	Commits uint64
-	// P50Records and P99Records are batch-size quantile estimates
-	// (records made durable per fsync).
-	P50Records, P99Records uint64
-}
-
-// PipelineStats is the ingest-pipeline block of GET /v1/stats.
-type PipelineStats struct {
-	// Stages holds one summary per pipeline stage, in pipeline order.
-	Stages []StageLatency
-	// WALCommitBatch summarizes records per group-commit fsync.
-	WALCommitBatch WALBatchStats
-}
-
-// PipelineStatsSnapshot summarizes the per-stage histograms; the zero
-// value when metrics are disabled.
-func (sys *System) PipelineStatsSnapshot() PipelineStats {
-	var out PipelineStats
-	if !sys.metrics.Enabled() {
-		return out
-	}
-	snaps := sys.metrics.StageSnapshots()
-	out.Stages = make([]StageLatency, 0, len(snaps))
+// pipelineJSON builds the pipeline block of GET /v1/stats from the
+// registry's stage histograms, in pipeline order, and its WAL
+// group-commit batch-size histogram.
+func pipelineJSON(reg *obs.Registry) pipelineStatsJSON {
+	snaps := reg.StageSnapshots()
+	out := pipelineStatsJSON{Stages: make([]pipelineStageJSON, len(snaps))}
 	for i, s := range snaps {
-		out.Stages = append(out.Stages, StageLatency{
-			Stage: obs.Stage(i).String(),
-			Count: s.Count,
-			P50:   time.Duration(s.Quantile(0.50)),
-			P99:   time.Duration(s.Quantile(0.99)),
-			Total: time.Duration(s.Sum),
-		})
+		out.Stages[i] = pipelineStageJSON{
+			Stage:   obs.Stage(i).String(),
+			Count:   s.Count,
+			P50US:   float64(s.Quantile(0.50)) / float64(time.Microsecond),
+			P99US:   float64(s.Quantile(0.99)) / float64(time.Microsecond),
+			TotalMS: float64(s.Sum) / float64(time.Millisecond),
+		}
 	}
-	wb := sys.metrics.WALBatchSnapshot()
-	out.WALCommitBatch = WALBatchStats{
+	wb := reg.WALBatchSnapshot()
+	out.WALCommitBatch = walBatchJSON{
 		Commits:    wb.Count,
 		P50Records: wb.Quantile(0.50),
 		P99Records: wb.Quantile(0.99),
@@ -142,9 +90,8 @@ func (sys *System) PipelineStatsSnapshot() PipelineStats {
 	return out
 }
 
-// Metrics returns the system's observability registry (always non-nil;
-// disabled under Config.DisableMetrics). Exposed for the exposition
-// handler and tests.
+// Metrics returns the system's observability registry (never nil).
+// Exposed for the exposition handler and tests.
 func (sys *System) Metrics() *obs.Registry {
 	return sys.metrics
 }

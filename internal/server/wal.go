@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"viewmap/internal/obs"
@@ -118,12 +117,10 @@ type wal struct {
 	fsync func(*os.File) error
 
 	// metrics, when non-nil, receives the fsync latency and the
-	// group-commit batch size of every sync (attached by OpenDurable).
+	// group-commit batch size of every sync (attached by OpenDurable
+	// before the first sync). Its fsync stage is the only count of the
+	// log's fsyncs: GET /v1/stats reads durability.fsyncs from it.
 	metrics *obs.Registry
-	// fsyncs / fsyncNS count group-commit fsyncs and their cumulative
-	// wall time for GET /v1/stats; kept even when metrics are off.
-	fsyncs  atomic.Int64
-	fsyncNS atomic.Int64
 }
 
 // setFsync installs a replacement for the file-sync call on the
@@ -335,10 +332,7 @@ func (w *wal) syncLocked() {
 		w.fail(err)
 		return
 	}
-	elapsed := time.Since(start)
-	w.fsyncs.Add(1)
-	w.fsyncNS.Add(int64(elapsed))
-	w.metrics.Stage(obs.StageFsync).Record(int64(elapsed))
+	w.metrics.Stage(obs.StageFsync).Record(int64(time.Since(start)))
 	w.metrics.WALBatch().Record(int64(batch))
 	w.synced = w.buffed
 	w.cond.Broadcast()

@@ -14,36 +14,6 @@ import (
 	"viewmap/internal/vp"
 )
 
-// A small evidence-pipeline run: every stage must complete, tampered
-// submissions must bounce, and the counters must reconcile. The -race
-// CI job runs this with concurrent deliveries.
-func TestEvidencePipelineSmall(t *testing.T) {
-	res, err := Evidence(EvidenceConfig{
-		Convoys: 2, CiviliansPerConvoy: 2, TamperEvery: 4,
-		Units: 2, Workers: 4, FrameW: 160, FrameH: 90, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Owners != 4 || res.Solicited < 4 {
-		t.Fatalf("owners %d, solicited %d", res.Owners, res.Solicited)
-	}
-	if res.Accepted != 3 || res.Rejected != 1 {
-		t.Fatalf("accepted %d rejected %d, want 3/1", res.Accepted, res.Rejected)
-	}
-	if res.Minted != 6 || res.Redeemed != 3 || res.DoubleSpendsRefused != 3 {
-		t.Fatalf("payout counters %+v", res)
-	}
-	if res.Released != 3 || res.RedactedRegions < res.Released*60 {
-		t.Fatalf("release counters: %d released, %d regions", res.Released, res.RedactedRegions)
-	}
-	for _, row := range res.Rows() {
-		if row == "" {
-			t.Fatal("empty report row")
-		}
-	}
-}
-
 // deliveredEvidenceSystem drives the smallest honest pipeline to the
 // point where one delivery is accepted: a one-civilian convoy (shared
 // with the adversarial-serving scenario, here through direct System
@@ -106,8 +76,7 @@ func TestEvidencePayoutAfterRestart(t *testing.T) {
 	sys, sessions, owner := deliveredEvidenceSystem(t, units)
 
 	// Spend one unit before the snapshot; one stays entitled.
-	evOwner := &evidenceOwner{id: owner.id, q: owner.q}
-	preCash, err := withdrawEvidence(sys, sessions, evOwner, 1)
+	preCash, err := withdrawEvidence(sys, sessions, owner, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +100,7 @@ func TestEvidencePayoutAfterRestart(t *testing.T) {
 	// (the restored bank carries the pre-restart keypair, so the new
 	// signature verifies under the same key the old cash was minted
 	// with).
-	postCash, err := withdrawEvidence(restored, sessions, evOwner, 1)
+	postCash, err := withdrawEvidence(restored, sessions, owner, 1)
 	if err != nil {
 		t.Fatalf("post-restart withdrawal: %v", err)
 	}
@@ -139,7 +108,7 @@ func TestEvidencePayoutAfterRestart(t *testing.T) {
 		t.Fatalf("post-restart redemption: %v", err)
 	}
 	// The entitlement is now exhausted…
-	if _, err := withdrawEvidence(restored, sessions, evOwner, 1); err == nil {
+	if _, err := withdrawEvidence(restored, sessions, owner, 1); err == nil {
 		t.Fatal("over-withdrawal after restart succeeded")
 	}
 	// …and the pre-restart spend stays spent.
@@ -164,4 +133,38 @@ func TestEvidenceRedeemNeverMinted(t *testing.T) {
 	if st := sys.Evidence().StatsSnapshot(); st.UnitsRedeemed != 0 {
 		t.Fatalf("forged unit counted as redeemed (%d)", st.UnitsRedeemed)
 	}
+}
+
+// withdrawEvidence runs the client side of one payout: blind fresh
+// notes, have the evidence desk sign them under a single-use session,
+// unblind into spendable cash.
+func withdrawEvidence(sys *server.System, sessions *anon.Sessions, o convoyOwner, n int) ([]*reward.Cash, error) {
+	pub := sys.Bank().PublicKey()
+	notes := make([]*reward.Note, n)
+	blinded := make([]*big.Int, n)
+	for i := 0; i < n; i++ {
+		note, err := reward.NewNote(pub, rand.Reader)
+		if err != nil {
+			return nil, err
+		}
+		notes[i] = note
+		blinded[i] = note.Blind(pub)
+	}
+	sid, err := sessions.New()
+	if err != nil {
+		return nil, err
+	}
+	sigs, err := sys.Evidence().Payout(sid, o.id, o.q, blinded)
+	if err != nil {
+		return nil, err
+	}
+	cash := make([]*reward.Cash, n)
+	for i := range sigs {
+		c, err := notes[i].Unblind(pub, sigs[i])
+		if err != nil {
+			return nil, err
+		}
+		cash[i] = c
+	}
+	return cash, nil
 }
