@@ -3,11 +3,10 @@
 GO ?= go
 
 # Recorded coverage floor for the `coverage` target: `go test
-# -coverprofile` across ./internal/... measured 78.4% when the
-# baseline was last moved (PR 10, fault families + clock/recovery
-# tests); the gate fails on regression below this. Raise it when new
-# tests land, never lower it to make a PR pass.
-COVER_BASELINE ?= 77.5
+# -coverprofile` across ./internal/... measured 81.6% when the
+# baseline was last moved; the gate fails on regression below this.
+# Raise it when new tests land, never lower it to make a PR pass.
+COVER_BASELINE ?= 80.0
 
 # Per-target budget for the native fuzz targets in the `fuzz` job.
 FUZZTIME ?= 30s
@@ -41,8 +40,9 @@ check: build vet test
 # keep them all race-clean. The attack package and the online attack-serving
 # campaigns (concurrent double-spend and payout races through the
 # live HTTP path) ride in the same job. The server line also races
-# concurrent batch writers through the burst pipeline's ring handoff
-# (TestBurstConcurrentEquivalence) and concurrent appenders through
+# concurrent batch writers through a minute's link lock
+# (TestBurstConcurrentEquivalence), evictions against in-flight bursts
+# (TestEvictDuringBurst) and concurrent appenders through
 # the WAL's group commit (TestWALGroupCommit). The scenario engine
 # joins with concurrent uploaders retrying through the admission
 # gates, a concurrent prober, and the fsync-stall hook firing under
@@ -105,7 +105,8 @@ vmbench-test:
 # partition. The run hard-fails on acked loss, on any probe diverging
 # from the unfaulted baseline, or on a shed investigation, and writes
 # the machine-readable SLO report (per-endpoint p50/p99, shed counts)
-# to BENCH_scenario.json — CI uploads it as an artifact.
+# to BENCH_scenario.json, the baseline slo-check compares against.
+# Run it to refresh that baseline after a deliberate change.
 scenario-smoke:
 	$(GO) run ./cmd/viewmap-bench -run scenario -scale quick -json BENCH_scenario.json
 
@@ -131,11 +132,14 @@ scenario-faults:
 # the run must report zero acked loss, and it must carry no
 # scenario-internal SLO violations. When a deliberate change moves the
 # verdicts or the latency profile, regenerate the baseline with
-# scenario-smoke and commit it. See docs/observability.md.
+# scenario-smoke and commit it. The fresh report stays behind as
+# BENCH_scenario.candidate.json (gitignored); CI uploads it. The same
+# run carries the four fault families with their hard checks, so CI
+# runs no separate scenario-smoke or scenario-faults step. See
+# docs/observability.md.
 slo-check:
 	$(GO) run ./cmd/viewmap-bench -run scenario -scale quick -json BENCH_scenario.candidate.json
 	$(GO) run ./cmd/slocheck -baseline BENCH_scenario.json -candidate BENCH_scenario.candidate.json
-	@rm -f BENCH_scenario.candidate.json
 
 # Coverage gate: the full ./internal/... profile must not regress
 # below the recorded baseline.

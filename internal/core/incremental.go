@@ -22,8 +22,8 @@ import (
 // Build (viewmap.go) links its coverage members through the same
 // builder; linkNaive is the reference both are held to.
 //
-// Ingest is split into two phases so the server's burst pipeline can
-// keep the expensive half outside its shard lock:
+// Ingest is split into two phases so the server can keep the expensive
+// half outside the lock its readers take:
 //
 //	Stage  — admission checks, bounding box, candidate enumeration and
 //	         Bloom probing; touches only builder-private state.
@@ -32,9 +32,11 @@ import (
 //
 // Add is exactly Stage followed by CommitStaged, so the sequential
 // path and the burst path share one code path and produce identical
-// graphs by construction. The contract: between Stage and
-// CommitStaged the builder accepts no concurrent access of any kind;
-// CommitStaged alone must be serialized against readers (ViewmapFor).
+// graphs by construction. The contract: writers (Stage, StageLinked,
+// CommitStaged) must be serialized against each other — the server's
+// per-minute link lock does that — and CommitStaged must additionally
+// be serialized against readers (ViewmapFor, LowerLinks, SiteView);
+// Stage may run concurrently with readers.
 //
 // StageLinked is Stage's restore twin: it takes a node's viewlinks as
 // LowerLinks saved them instead of probing candidates, so a graph
@@ -154,11 +156,11 @@ type stagedProfile struct {
 //
 // The zero value is not usable; construct with NewIncrementalBuilder.
 // An IncrementalBuilder is NOT safe for unmediated concurrent use.
-// The server's burst pipeline relies on the phase split: exactly one
-// link worker per shard calls Stage (and is the only goroutine that
-// touches the staging state: pending, boxes, grid, visit stamps),
-// while CommitStaged and ViewmapFor are serialized under the shard
-// lock.
+// The server relies on the phase split: every writer holds the
+// minute's link lock, so one goroutine at a time calls Stage and
+// touches the staging state (pending, boxes, grid, visit stamps),
+// while CommitStaged additionally takes the shard lock that
+// ViewmapFor runs under.
 type IncrementalBuilder struct {
 	cfg IncrementalConfig
 
@@ -249,9 +251,8 @@ func (b *IncrementalBuilder) Add(p *vp.Profile) (bool, error) {
 // members), bounding box, and the candidate enumeration plus Bloom
 // probing that dominate ingest cost. Accepted profiles queue with
 // their resolved viewlinks until CommitStaged. Stage touches no
-// reader-visible state, so the burst pipeline runs it outside the
-// shard lock; it must never run concurrently with itself, with
-// CommitStaged, or with AbandonStaged.
+// reader-visible state, so the server runs it outside the shard lock;
+// it must never run concurrently with itself or with CommitStaged.
 func (b *IncrementalBuilder) Stage(p *vp.Profile) (bool, error) {
 	if ok, err := b.admit(p); !ok {
 		return false, err
@@ -392,26 +393,6 @@ func (b *IncrementalBuilder) CommitStaged() int {
 		b.pendingIndex = make(map[vd.VPID]int)
 	}
 	return committed
-}
-
-// AbandonStaged discards every staged profile without committing it,
-// for the burst pipeline's eviction race: when a shard is evicted
-// between Stage and commit, the staged work is dropped and the burst
-// retried against the shard's successor. The candidate grid is
-// invalidated if it was rebuilt over since-abandoned nodes; it
-// regrows lazily.
-func (b *IncrementalBuilder) AbandonStaged() {
-	if len(b.pending) == 0 {
-		return
-	}
-	b.pending = b.pending[:0]
-	b.pendingIndex = make(map[vd.VPID]int)
-	b.boxes = b.boxes[:len(b.profiles)]
-	b.wboxes = b.wboxes[:len(b.profiles)*linkWindows]
-	if b.gridN > len(b.boxes) {
-		b.grid = nil
-		b.gridN = 0
-	}
 }
 
 // AddBatch ingests profiles in order and returns how many joined the

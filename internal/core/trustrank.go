@@ -11,39 +11,23 @@ import (
 // DefaultDamping is the paper's empirically chosen damping factor.
 const DefaultDamping = 0.8
 
+// The power iteration stops once the L1 residual between consecutive
+// iterates drops below trustEpsilon, or after trustMaxIterations steps.
+const (
+	trustEpsilon       = 1e-9
+	trustMaxIterations = 500
+)
+
 // TrustRankConfig tunes the score iteration.
 type TrustRankConfig struct {
 	// Damping is the delta in P = delta*M*P + (1-delta)*d; zero selects
 	// the paper's 0.8.
 	Damping float64
-	// Epsilon is the L1 convergence threshold; zero selects 1e-9.
-	Epsilon float64
-	// MaxIterations bounds the power iteration; zero selects 500.
-	MaxIterations int
-	// LayerGapRatio, when positive, enables an optional post-BFS layer
-	// cut in VerifySite: if the scores of the reachable in-site set,
-	// sorted descending, exhibit a consecutive ratio larger than this,
-	// everything below the gap is dropped as a secondary (fake) layer.
-	// Algorithm 1 as printed relies on reachability alone; this
-	// defense-in-depth operationalizes the paper's observation that
-	// "the VPs in X of z's layer are strongly likely to have higher
-	// trust scores than VPs in X of other layers" (Section 5.2.2) and
-	// guards against residual Bloom false-positive cross-links. Zero
-	// leaves it disabled. Note the cut can misfire when the trusted VP
-	// itself sits inside the site (its score towers over the layer),
-	// so it should stay disabled in that configuration.
-	LayerGapRatio float64
 }
 
 func (c TrustRankConfig) withDefaults() TrustRankConfig {
 	if c.Damping == 0 {
 		c.Damping = DefaultDamping
-	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 1e-9
-	}
-	if c.MaxIterations == 0 {
-		c.MaxIterations = 500
 	}
 	return c
 }
@@ -93,17 +77,17 @@ func (vm *Viewmap) trustSeed(cfg TrustRankConfig) (d, p []float64, err error) {
 }
 
 // powerIterate runs the damped power iteration from starting vector p
-// until the L1 residual drops below cfg.Epsilon or cfg.MaxIterations,
+// until the L1 residual drops below trustEpsilon or trustMaxIterations,
 // returning the final vector and the iteration count. cfg must already
 // carry defaults.
 func (vm *Viewmap) powerIterate(d, p []float64, cfg TrustRankConfig) ([]float64, int) {
 	next := make([]float64, len(p))
 	iters := 0
-	for iters < cfg.MaxIterations {
+	for iters < trustMaxIterations {
 		iters++
 		delta := vm.step(d, p, next, cfg.Damping)
 		p, next = next, p
-		if delta < cfg.Epsilon {
+		if delta < trustEpsilon {
 			break
 		}
 	}
@@ -172,7 +156,6 @@ func (vm *Viewmap) verifySiteScored(siteNodes []int, cfg TrustRankConfig) (*Verd
 	if err != nil {
 		return nil, 0, err
 	}
-	gap := cfg.LayerGapRatio
 	verdict := &Verdict{Scores: scores, Anchor: -1}
 	if len(siteNodes) == 0 {
 		return verdict, iters, nil
@@ -212,10 +195,6 @@ func (vm *Viewmap) verifySiteScored(siteNodes []int, cfg TrustRankConfig) (*Verd
 			verdict.Legitimate = append(verdict.Legitimate, i)
 		}
 	}
-	if gap > 0 {
-		verdict.Legitimate = cutSecondaryLayer(verdict.Legitimate, scores, gap)
-	}
-	sort.Ints(verdict.Legitimate)
 	return verdict, iters, nil
 }
 
@@ -249,12 +228,11 @@ type VerifyStats struct {
 // Anchor may name a different member of the same component than the
 // cold run when scores inside it are still settling; Legitimate and
 // Scores' fixed point are unaffected. A nil prev, a prev longer than
-// the viewmap, an empty site, or a positive LayerGapRatio (whose layer
-// cut reads raw score values) always takes the cold path.
+// the viewmap, or an empty site always takes the cold path.
 func (vm *Viewmap) VerifySiteFrom(siteNodes []int, prev []float64, cfg TrustRankConfig) (*Verdict, VerifyStats, error) {
 	c := cfg.withDefaults()
 	n := len(vm.Profiles)
-	if prev == nil || len(prev) > n || c.LayerGapRatio > 0 || len(siteNodes) == 0 {
+	if prev == nil || len(prev) > n || len(siteNodes) == 0 {
 		v, iters, err := vm.verifySiteScored(siteNodes, cfg)
 		return v, VerifyStats{Iterations: iters}, err
 	}
@@ -297,7 +275,7 @@ func (vm *Viewmap) VerifySiteFrom(siteNodes []int, prev []float64, cfg TrustRank
 	next := make([]float64, n)
 	iters := 0
 	certified := false
-	for iters < c.MaxIterations {
+	for iters < trustMaxIterations {
 		iters++
 		delta := vm.step(d, p, next, c.Damping)
 		p, next = next, p
@@ -322,11 +300,11 @@ func (vm *Viewmap) VerifySiteFrom(siteNodes []int, prev []float64, cfg TrustRank
 				best2 = v
 			}
 		}
-		if best1-best2 > coef*(delta+c.Epsilon) {
+		if best1-best2 > coef*(delta+trustEpsilon) {
 			certified = true
 			break
 		}
-		if delta < c.Epsilon {
+		if delta < trustEpsilon {
 			break
 		}
 	}
@@ -350,33 +328,6 @@ func (vm *Viewmap) VerifySiteFrom(siteNodes []int, prev []float64, cfg TrustRank
 	}
 	sort.Ints(verdict.Legitimate)
 	return verdict, VerifyStats{Iterations: iters, Warm: true}, nil
-}
-
-// cutSecondaryLayer drops nodes below the widest consecutive score
-// ratio exceeding gapRatio: the anchor's layer has smoothly varying
-// scores, while fake layers sit orders of magnitude lower.
-func cutSecondaryLayer(nodes []int, scores []float64, gapRatio float64) []int {
-	if len(nodes) < 2 {
-		return nodes
-	}
-	sorted := append([]int(nil), nodes...)
-	sort.Slice(sorted, func(i, j int) bool { return scores[sorted[i]] > scores[sorted[j]] })
-	cut := len(sorted)
-	worst := gapRatio
-	for i := 1; i < len(sorted); i++ {
-		hi, lo := scores[sorted[i-1]], scores[sorted[i]]
-		if lo <= 0 {
-			if hi > 0 && i < cut {
-				cut = i
-			}
-			break
-		}
-		if r := hi / lo; r > worst {
-			worst = r
-			cut = i
-		}
-	}
-	return sorted[:cut]
 }
 
 // SumScores returns the total trust score over the given node set,

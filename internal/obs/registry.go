@@ -8,8 +8,9 @@ import (
 )
 
 // Stage names one instrumented stage of the ingest pipeline, in
-// pipeline order: wire decode+validate, burst-ring wait, link-worker
-// Stage, CommitStaged under the shard lock, WAL append (including the
+// pipeline order: wire decode+validate, the wait for the minute's link
+// lock (labelled ring_wait, the name dashboards already use), Stage,
+// CommitStaged under the shard lock, WAL append (including the
 // group-commit wait), and the fsync itself.
 type Stage int
 

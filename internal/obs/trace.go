@@ -10,17 +10,14 @@ import (
 
 // Trace is one request's span accounting: an ID minted at admission
 // plus a per-stage nanosecond accumulator. It rides the request
-// context into the handler, is pinned to each minute burst through
-// the ring, and collects WAL-append spans on the commit path. Stages
-// executed by different goroutines (link workers, group commit)
-// accumulate concurrently — each span is one atomic add — and the
-// shard's ack (channel close) orders every worker-side write before
-// the submitter reads the totals.
+// context into the handler, is handed to each minute burst the request
+// links, and collects the WAL-append span on the commit path. Each
+// span is one atomic add, so a trace may be shared by goroutines.
 //
-// A shared stage (one CommitStaged covering several queued bursts,
-// one fsync covering a commit group) is charged in full to every
-// request it covered, so spans can overlap and sum to more than the
-// wall-clock total; see docs/observability.md.
+// A request links and commits its own bursts; the one shared stage is
+// the group-commit fsync, which sits in full inside the WAL-append
+// span of every request it made durable, so spans can overlap across
+// requests; see docs/observability.md.
 //
 // A nil *Trace is a valid no-op receiver.
 type Trace struct {

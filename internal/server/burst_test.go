@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"viewmap/internal/core"
@@ -12,10 +13,9 @@ import (
 	"viewmap/internal/vp"
 )
 
-// Tests for the burst ingest pipeline (burst.go): equivalence with the
-// sequential path, worker shutdown, eviction races, and counter
-// parity. The concurrency tests here are the ones `make race` leans
-// on for the ring and worker lifecycle.
+// Tests for burst linking (burst.go): equivalence with the sequential
+// path, shutdown, eviction races, and counter parity. The concurrency
+// tests here are the ones `make race` leans on for the link lock.
 
 // minuteIDs returns the minute's slab identifiers in ingest order.
 func minuteIDs(s *Store, m int64) []vd.VPID {
@@ -212,10 +212,10 @@ func TestBurstConcurrentEquivalence(t *testing.T) {
 	conc.Close()
 }
 
-// TestStoreCloseStopsIngest pins the shutdown contract: Close drains
-// and stops every link worker, later ingest fails without leaking
-// identifier claims, and Close is idempotent. A non-durable System's
-// Close must propagate to the store.
+// TestStoreCloseStopsIngest pins the shutdown contract: later ingest
+// fails without leaking identifier claims, reads keep working, and
+// Close is idempotent. A non-durable System's Close must propagate to
+// the store.
 func TestStoreCloseStopsIngest(t *testing.T) {
 	s := NewStore()
 	if err := s.Put(fabricate(t, 0, 1)); err != nil {
@@ -238,16 +238,6 @@ func TestStoreCloseStopsIngest(t *testing.T) {
 	if s.Len() != 1 || len(s.Minute(0)) != 1 {
 		t.Errorf("post-Close reads broken: Len=%d Minute(0)=%d", s.Len(), len(s.Minute(0)))
 	}
-	// Every worker has exited.
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for m, sh := range s.shards {
-		select {
-		case <-sh.workerDone:
-		default:
-			t.Errorf("minute %d link worker still running after Close", m)
-		}
-	}
 
 	sys, err := NewSystem(Config{AuthorityToken: "tok", Bank: sharedBankInternal(t)})
 	if err != nil {
@@ -261,12 +251,31 @@ func TestStoreCloseStopsIngest(t *testing.T) {
 	}
 }
 
+// TestIngestStartsNoGoroutinePerMinute pins that ingest leaves nothing
+// running per minute: with retention off, a long-running server keeps
+// every minute it ever ingested, so a goroutine parked per minute would
+// grow without bound.
+func TestIngestStartsNoGoroutinePerMinute(t *testing.T) {
+	const minutes = 64
+	s := NewStore()
+	defer s.Close()
+	before := runtime.NumGoroutine()
+	for m := int64(0); m < minutes; m++ {
+		if err := s.Put(fabricate(t, m, 8800+m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grew := runtime.NumGoroutine() - before; grew > 8 {
+		t.Fatalf("ingest into %d minutes left %d more goroutines running", minutes, grew)
+	}
+}
+
 // TestEvictDuringBurst races single-profile bursts against repeated
-// evictions of their minute: a burst caught by an eviction must be
-// retried against the successor shard, never lost and never written
-// into the orphan. Run under -race in CI.
+// evictions of their minute: a burst that finds its shard evicted must
+// link into the successor shard, never lost and never written into the
+// orphan. Run under -race in CI.
 func TestEvictDuringBurst(t *testing.T) {
-	s := NewStoreWith(StoreConfig{SegmentDir: t.TempDir()})
+	s := NewStoreWith(StoreConfig{segmentDir: t.TempDir()})
 	const n, evictions = 80, 12
 	done := make(chan error, 1)
 	go func() {

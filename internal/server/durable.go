@@ -62,8 +62,10 @@ type DurabilityConfig struct {
 	// disables the snapshotter (Checkpoint can still be called
 	// manually, and Close writes a final snapshot).
 	SnapshotInterval time.Duration
-	// RetentionMinutes is the resident minute horizon (see
-	// StoreConfig.RetentionMinutes); zero keeps every minute resident.
+	// RetentionMinutes is the resident minute horizon: shards older than
+	// the newest ingested minute minus this many minutes are spilled to
+	// segment files and evicted (Store.ApplyRetention). Zero keeps every
+	// minute resident.
 	RetentionMinutes int
 	// ResidentColdMinutes bounds reloaded cold minutes (LRU); zero
 	// selects 2.
@@ -185,9 +187,9 @@ func OpenDurable(cfg Config, dcfg DurabilityConfig) (*System, error) {
 	if err := os.MkdirAll(dcfg.SegmentDir, 0o755); err != nil {
 		return nil, err
 	}
-	cfg.Store.SegmentDir = dcfg.SegmentDir
-	cfg.Store.RetentionMinutes = dcfg.RetentionMinutes
-	cfg.Store.ResidentColdMinutes = dcfg.ResidentColdMinutes
+	cfg.Store.segmentDir = dcfg.SegmentDir
+	cfg.Store.retentionMinutes = dcfg.RetentionMinutes
+	cfg.Store.residentColdMinutes = dcfg.ResidentColdMinutes
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		return nil, err
@@ -387,7 +389,6 @@ func (sys *System) noteDurabilityErr(err error) {
 // closes the WAL. The System must not serve traffic afterwards.
 func (sys *System) Close() error {
 	if sys.wal == nil {
-		// Non-durable systems still own per-shard link workers.
 		sys.store.Close()
 		return nil
 	}

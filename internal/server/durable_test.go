@@ -680,11 +680,11 @@ func TestConcurrentSpillsOnDirtyMinutes(t *testing.T) {
 		// A late ingest into an evicted minute reloads it as a cold shard
 		// and dirties it. The wider cap keeps three such minutes resident;
 		// narrowing it again leaves every trim racing for the same two.
-		st.cfg.ResidentColdMinutes = 3
+		st.cfg.residentColdMinutes = 3
 		for m := int64(0); m < 3; m++ {
 			uploadMinute(t, m, 4, 500+10*round+m, sys, control)
 		}
-		st.cfg.ResidentColdMinutes = 1
+		st.cfg.residentColdMinutes = 1
 		if ret := st.RetentionStatsSnapshot(); ret.ColdResident != 3 {
 			t.Fatalf("round %d: %d cold minutes resident before the race, want 3", round, ret.ColdResident)
 		}

@@ -76,27 +76,27 @@ func segmentName(m int64) string { return fmt.Sprintf("minute-%d.seg", m) }
 
 // segmentPath names minute m's segment file.
 func (s *Store) segmentPath(m int64) string {
-	return filepath.Join(s.cfg.SegmentDir, segmentName(m))
+	return filepath.Join(s.cfg.segmentDir, segmentName(m))
 }
 
 // RetentionEnabled reports whether this store spills old minutes.
 func (s *Store) RetentionEnabled() bool {
-	return s.cfg.SegmentDir != "" && s.cfg.RetentionMinutes > 0
+	return s.cfg.segmentDir != "" && s.cfg.retentionMinutes > 0
 }
 
 // residentColdCap returns the LRU bound on reloaded cold shards.
 func (s *Store) residentColdCap() int {
-	if s.cfg.ResidentColdMinutes > 0 {
-		return s.cfg.ResidentColdMinutes
+	if s.cfg.residentColdMinutes > 0 {
+		return s.cfg.residentColdMinutes
 	}
 	return 2
 }
 
 // ApplyRetention spills and evicts every resident shard older than the
-// horizon (the newest ingested minute minus RetentionMinutes), then
-// trims the cold resident set down to its LRU bound. The durability
-// runtime calls this periodically; tests and the scenario engine
-// call it directly. It returns how many shards were evicted.
+// horizon (the newest ingested minute minus the retention minutes),
+// then trims the cold resident set down to its LRU bound. The
+// durability runtime calls this periodically; tests and the scenario
+// engine call it directly. It returns how many shards were evicted.
 func (s *Store) ApplyRetention() (int, error) {
 	if !s.RetentionEnabled() {
 		return 0, nil
@@ -105,7 +105,7 @@ func (s *Store) ApplyRetention() (int, error) {
 	if newest == noMinute {
 		return 0, nil
 	}
-	cut := newest - int64(s.cfg.RetentionMinutes)
+	cut := newest - int64(s.cfg.retentionMinutes)
 
 	s.mu.RLock()
 	var hot []int64
@@ -158,78 +158,54 @@ func (s *Store) trimCold() (int, error) {
 }
 
 // evictShard spills minute m's shard to its segment file and drops it
-// from memory. The write happens outside the store lock against a
-// versioned copy of the slab; if ingest grows the shard meanwhile the
-// spill restarts, so the segment always matches the dropped state.
-// The whole write-and-drop runs under spillMu: the retention sweep and
-// a reload's trimCold can both pick the same dirty minute, and two
-// spills through its one temp path would tear the segment.
+// from memory. It holds the shard's link lock from the segment cut to
+// the drop, so no burst commits in between and the segment always
+// matches the dropped state. The whole write-and-drop runs under
+// spillMu: the retention sweep and a reload's trimCold can both pick
+// the same dirty minute, and two spills through its one temp path would
+// tear the segment. spillMu also keeps the shard map entry for m in
+// place, since only an eviction removes one.
 func (s *Store) evictShard(m int64) error {
 	s.spillMu.Lock()
 	defer s.spillMu.Unlock()
 	start := time.Now()
-	for {
-		sh := s.shard(m)
-		if sh == nil {
-			return nil
-		}
-		sh.mu.Lock()
-		version := len(sh.profiles)
-		dirty := sh.dirty
-		profiles := make([]*vp.Profile, version)
-		copy(profiles, sh.profiles)
-		var links [][]int
-		if dirty {
-			links = sh.builder.LowerLinks()
-		}
-		sh.mu.Unlock()
-
-		if dirty {
-			if err := s.writeSegment(m, profiles, links); err != nil {
-				return err
-			}
-		}
-
-		s.mu.Lock()
-		if s.shards[m] != sh {
-			s.mu.Unlock()
-			continue // replaced under us; retry against the new shard
-		}
-		sh.mu.Lock()
-		if len(sh.profiles) != version {
-			sh.mu.Unlock()
-			s.mu.Unlock()
-			continue // ingest raced the spill; rewrite the segment
-		}
-		for _, p := range profiles {
-			s.ids.Store(p.ID(), evictedRef{minute: m})
-		}
-		sh.evicted = true
-		// Wake any watch stream parked on the shard; the commit paths
-		// check evicted under this same lock before closing, so the
-		// channel closes exactly once.
-		close(sh.changed)
-		delete(s.shards, m)
-		if version > 0 {
-			// An empty shard (created for an in-flight burst that has
-			// not committed yet) has no segment file; registering one
-			// would poison later reloads of the minute. The slab did not
-			// grow since the segment was cut, so the builder epoch is the
-			// one the segment restores.
-			s.segments[m] = sh.builder.Epoch()
-		}
-		sh.mu.Unlock()
-		s.mu.Unlock()
-		// The shard is out of the map and marked evicted; its link
-		// worker drains (failing queued bursts back to their submitters,
-		// who re-resolve against the successor shard) and exits.
-		sh.stopLinkWorker()
-		// Eviction runs on the background sweep, never a request path, so
-		// the timing is unconditional (spill + drop, including retries).
-		s.evictions.Add(1)
-		s.evictionNS.Add(int64(time.Since(start)))
+	sh := s.shard(m)
+	if sh == nil {
 		return nil
 	}
+	sh.linkMu.Lock()
+	defer sh.linkMu.Unlock()
+	// Every writer of the slab, the graph and dirty holds the link lock,
+	// so they hold still here without the shard lock.
+	if sh.dirty {
+		if err := s.writeSegment(m, sh.profiles, sh.builder.LowerLinks()); err != nil {
+			return err
+		}
+	}
+
+	s.mu.Lock()
+	sh.mu.Lock()
+	for _, p := range sh.profiles {
+		s.ids.Store(p.ID(), evictedRef{minute: m})
+	}
+	sh.evicted = true
+	// Wake any watch stream parked on the shard; commits run under the
+	// link lock held here, so the channel closes exactly once.
+	close(sh.changed)
+	delete(s.shards, m)
+	if len(sh.profiles) > 0 {
+		// An empty shard (created for a burst that has not won the link
+		// lock yet) has no segment file; registering one would poison
+		// later reloads of the minute.
+		s.segments[m] = sh.builder.Epoch()
+	}
+	sh.mu.Unlock()
+	s.mu.Unlock()
+	// Eviction runs on the background sweep or a reload's trim, never an
+	// ingest path, so the timing is unconditional (spill + drop).
+	s.evictions.Add(1)
+	s.evictionNS.Add(int64(time.Since(start)))
+	return nil
 }
 
 // writeSegment persists one minute's profiles, in ingest order, and
@@ -238,7 +214,7 @@ func (s *Store) evictShard(m int64) error {
 // file is durable before the in-memory shard may be dropped. Callers
 // hold spillMu, which owns the temp path and the shared spill writer.
 func (s *Store) writeSegment(m int64, profiles []*vp.Profile, links [][]int) error {
-	if s.cfg.SegmentDir == "" {
+	if s.cfg.segmentDir == "" {
 		return errors.New("server: no segment directory configured")
 	}
 	path := s.segmentPath(m)
@@ -275,7 +251,7 @@ func (s *Store) writeSegment(m int64, profiles []*vp.Profile, links [][]int) err
 		os.Remove(tmp)
 		return err
 	}
-	syncDir(s.cfg.SegmentDir)
+	syncDir(s.cfg.segmentDir)
 	return nil
 }
 
@@ -437,14 +413,12 @@ func (s *Store) reloadSegment(m int64) (*minuteShard, error) {
 		s.ids.Store(p.ID(), p)
 	}
 	s.touch(sh)
-	// The restore above ran the builder directly — safe only because the
-	// shard's ring is unreachable until the map install below makes the
-	// shard visible. The worker must exist before that instant.
-	s.startLinkWorker(sh)
+	// The restore above ran the builder without the link lock — safe
+	// only because no burst can reach the shard before the map install
+	// below makes it visible.
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
-		sh.stopLinkWorker()
 		return nil, errStoreClosed
 	}
 	s.shards[m] = sh
@@ -514,10 +488,10 @@ func (sh *minuteShard) restore(profiles []*vp.Profile, links [][]int) error {
 // segment is simply re-registered and will be rewritten on the next
 // eviction.
 func (s *Store) adoptSegments() (minutes int, err error) {
-	if s.cfg.SegmentDir == "" {
+	if s.cfg.segmentDir == "" {
 		return 0, nil
 	}
-	entries, err := os.ReadDir(s.cfg.SegmentDir)
+	entries, err := os.ReadDir(s.cfg.segmentDir)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
 	}

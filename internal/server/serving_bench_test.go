@@ -77,7 +77,7 @@ func BenchmarkInvestigateWarmCached(b *testing.B) {
 // answers it without reloading the segment. It fails if a reload
 // happens.
 func BenchmarkInvestigateEvictedCached(b *testing.B) {
-	sys, site := benchMinute(b, StoreConfig{SegmentDir: b.TempDir(), RetentionMinutes: 1})
+	sys, site := benchMinute(b, StoreConfig{segmentDir: b.TempDir(), retentionMinutes: 1})
 	defer sys.Close()
 	if _, err := sys.Investigate("tok", site, 0); err != nil {
 		b.Fatal(err)
@@ -251,7 +251,7 @@ func BenchmarkSegmentReload(b *testing.B) {
 				b.Fatal(err)
 			}
 			core.MarkTrustedNearest(profiles, area.Center())
-			s := NewStoreWith(StoreConfig{SegmentDir: b.TempDir(), RetentionMinutes: 1})
+			s := NewStoreWith(StoreConfig{segmentDir: b.TempDir(), retentionMinutes: 1})
 			defer s.Close()
 			for _, p := range profiles {
 				if err := s.Put(p); err != nil {

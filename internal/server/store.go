@@ -22,7 +22,7 @@ import (
 
 // Store is the VP database: anonymized, self-contained view profiles
 // indexed by identifier and sharded by unit-time window. Each minute
-// shard owns its lock, a dense slab of profiles in ingest order, and
+// shard owns its locks, a dense slab of profiles in ingest order, and
 // an incremental viewmap builder that links every accepted profile
 // against the minute's existing members as it arrives — so the
 // minute's visibility graph is always current and investigations
@@ -36,11 +36,13 @@ import (
 type Store struct {
 	cfg StoreConfig
 
-	// mu guards the shard map. Lock order: mu may be held while
-	// acquiring shard mutexes (only the persistence snapshot does, to
-	// freeze one atomic cut), never the reverse; ingest holds mu just
-	// long enough for a map lookup/insert, so one minute's slow
-	// extraction never stalls traffic to other minutes.
+	// mu guards the shard map. The lock order is reloadMu → spillMu →
+	// minuteShard.linkMu → mu → minuteShard.mu. mu may be held while
+	// acquiring shard mutexes (the persistence snapshot does, to freeze
+	// one atomic cut, and eviction does, to drop a shard), never the
+	// reverse; ingest holds mu just long enough for a map lookup/insert,
+	// so one minute's slow extraction never stalls traffic to other
+	// minutes.
 	mu     sync.RWMutex
 	shards map[int64]*minuteShard
 	// segments marks minutes with an on-disk segment file (see
@@ -58,8 +60,8 @@ type Store struct {
 
 	// spillMu serializes segment spills (evictShard holds it from the
 	// segment write through the shard drop) and guards spill, the
-	// record writer every segment file reuses. Taken before mu and any
-	// shard mutex, never while holding them.
+	// record writer every segment file reuses. Taken before any link
+	// lock, mu and any shard mutex, never while holding them.
 	spillMu sync.Mutex
 	spill   recordWriter
 
@@ -79,8 +81,10 @@ type Store struct {
 	// indistinguishable from the upload arriving just after the cut.
 	ids sync.Map
 
-	// closed is set by Close; ingest observes it and fails fast, so no
-	// new burst can enqueue behind a stopped link worker.
+	// closed is set by Close; ingest and segment reloads observe it and
+	// fail fast, so a closed store neither links new bursts nor installs
+	// (and then spills) reloaded shards into a data directory that a
+	// recovered successor may own.
 	closed atomic.Bool
 
 	count        atomic.Int64
@@ -99,7 +103,7 @@ type Store struct {
 	staleRejected atomic.Int64
 
 	// metrics, when non-nil, receives the pipeline-stage histograms
-	// recorded by the link workers (ring wait, Stage, CommitStaged).
+	// recorded by linkBurst (link-lock wait, Stage, CommitStaged).
 	// NewSystem attaches the registry; a bare Store records nothing.
 	metrics *obs.Registry
 
@@ -114,28 +118,37 @@ type Store struct {
 	reloadNS atomic.Int64
 }
 
-// StoreConfig parameterizes the VP database.
+// StoreConfig parameterizes the VP database. Retention is configured
+// through DurabilityConfig: OpenDurable alone sets the unexported
+// fields, so segments never spill without a WAL beside them.
 type StoreConfig struct {
 	// DSRCRange is the viewlink proximity radius used by the
 	// incremental linker; zero selects the 400 m default.
 	DSRCRange float64
-	// SegmentDir is where evicted minutes are spilled as per-minute
+	// segmentDir is where evicted minutes are spilled as per-minute
 	// segment files (retention.go). Empty disables spilling, and with
 	// it retention.
-	SegmentDir string
-	// RetentionMinutes is the resident horizon: when positive (and
-	// SegmentDir is set), shards older than the newest ingested minute
+	segmentDir string
+	// retentionMinutes is the resident horizon: when positive (and
+	// segmentDir is set), shards older than the newest ingested minute
 	// minus this many minutes are spilled to disk and evicted by
 	// ApplyRetention. Zero keeps every minute resident forever.
-	RetentionMinutes int
-	// ResidentColdMinutes bounds how many evicted minutes reloaded by
+	retentionMinutes int
+	// residentColdMinutes bounds how many evicted minutes reloaded by
 	// cold queries may stay resident at once (LRU); zero selects 2.
-	ResidentColdMinutes int
+	residentColdMinutes int
 }
 
 // minuteShard holds one unit-time window's profiles and its
 // incrementally maintained viewmap.
 type minuteShard struct {
+	// linkMu serializes every writer of the minute's builder: a burst
+	// holds it from Stage through CommitStaged, and eviction holds it
+	// from the segment cut to the shard drop. Readers never take it, so
+	// an investigation never waits for a Stage.
+	linkMu sync.Mutex
+	// mu guards the reader-visible state below; commits take it after
+	// linkMu, for the graph splice only.
 	mu sync.Mutex
 	// profiles is the dense slab of every stored profile of the
 	// minute, in ingest order — including profiles the linker rejected
@@ -169,18 +182,10 @@ type minuteShard struct {
 	dirty bool
 	// evicted marks a shard dropped from the shard map; an ingest that
 	// raced the eviction re-resolves its shard instead of writing into
-	// the orphan.
+	// the orphan. Set under both linkMu and mu, so either lock reads it.
 	evicted bool
 	// lastTouch is the recency stamp for the cold-set LRU.
 	lastTouch atomic.Uint64
-
-	// ring feeds the shard's link worker (burst.go).
-	ring *ingestRing
-	// stopWorker, closed under stopOnce, tells the link worker to drain
-	// and exit; workerDone is closed by the worker on the way out.
-	stopWorker chan struct{}
-	stopOnce   sync.Once
-	workerDone chan struct{}
 }
 
 // siteCacheEntry is one cached site extraction with the shard's
@@ -231,22 +236,16 @@ func (s *Store) shard(m int64) *minuteShard {
 }
 
 // newShard builds an empty shard for minute m (not yet installed).
-// The caller must start its link worker (startLinkWorker) before
-// installing it in the shard map.
 func (s *Store) newShard(m int64) *minuteShard {
-	sh := &minuteShard{
+	return &minuteShard{
 		builder: core.NewIncrementalBuilder(core.IncrementalConfig{
 			Minute:           m,
 			DSRCRange:        s.cfg.DSRCRange,
 			RequirePlausible: true,
 		}),
-		cache:      make(map[geo.Rect]*siteCacheEntry),
-		changed:    make(chan struct{}),
-		ring:       newIngestRing(),
-		stopWorker: make(chan struct{}),
-		workerDone: make(chan struct{}),
+		cache:   make(map[geo.Rect]*siteCacheEntry),
+		changed: make(chan struct{}),
 	}
-	return sh
 }
 
 // ensureShard returns the shard for minute m, creating it if needed.
@@ -266,15 +265,9 @@ func (s *Store) ensureShard(m int64) (*minuteShard, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed.Load() {
-		// Close snapshots the shard map to stop workers; a shard
-		// installed afterwards would leak a worker no one stops.
-		return nil, errStoreClosed
-	}
 	sh := s.shards[m]
 	if sh == nil {
 		sh = s.newShard(m)
-		s.startLinkWorker(sh)
 		s.shards[m] = sh
 	}
 	return sh, nil
@@ -319,8 +312,8 @@ type BatchResult struct {
 }
 
 // PutBatch validates and stores a batch of profiles, grouping them by
-// minute so each minute's burst goes to its link worker in one piece
-// rather than one submission per profile. Per-profile failures are
+// minute so each minute's burst is linked in one piece rather than one
+// submission per profile. Per-profile failures are
 // counted, not fatal: the rest of the batch still lands.
 func (s *Store) PutBatch(ps []*vp.Profile) BatchResult {
 	var res BatchResult
@@ -342,9 +335,9 @@ func (s *Store) PutBatch(ps []*vp.Profile) BatchResult {
 // path, WAL replay and snapshot load end here. It claims each
 // profile's identifier — duplicates, from other uploads or within ps,
 // drop out before a shard is created for an attacker-chosen minute —
-// then groups the claimed profiles by minute and submits one burst per
-// minute to the minute's link worker, charging the bursts' ring-wait,
-// Stage and commit spans to tr. The profiles must have passed
+// then groups the claimed profiles by minute and links one burst per
+// minute (submitBurst), charging the bursts' link-lock wait, Stage and
+// commit spans to tr. The profiles must have passed
 // vp.Profile.Validate. count says whether the attack-facing counters
 // (duplicates, rejections) advance; WAL replay passes false, since a
 // replayed profile was counted when it was first admitted. commit
@@ -387,7 +380,7 @@ func (s *Store) commit(ps []*vp.Profile, count bool, tr *obs.Trace) (BatchResult
 		res.Rejected += b.rejected
 		for _, err := range b.errs {
 			if first == nil && err != nil {
-				// The worker already released the identifier claim and
+				// linkBurst already released the identifier claim and
 				// aligned the counters.
 				first = err
 			}

@@ -118,14 +118,14 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestIngestRejectionCounterParity pins the counter alignment the
-// burst pipeline restored: a profile the link worker refuses advances
-// the store's rejectedCount gate counter exactly as often as it
-// advances the per-burst rejected result — and releases its identifier
-// claim — while a replay-path burst advances neither. The rejection is
-// provoked white-box (a wrong-minute profile pushed straight into a
-// shard's ring: unreachable through the public API, which groups by
-// the same Minute() the builder checks).
+// TestIngestRejectionCounterParity pins the counter alignment of burst
+// linking: a profile the linker refuses advances the store's
+// rejectedCount gate counter exactly as often as it advances the
+// per-burst rejected result — and releases its identifier claim —
+// while a replay-path burst advances neither. The rejection is provoked
+// white-box (a wrong-minute profile handed straight to a shard's link
+// step: unreachable through the public API, which groups by the same
+// Minute() the builder checks).
 func TestIngestRejectionCounterParity(t *testing.T) {
 	s := NewStore()
 	defer s.Close()
@@ -137,11 +137,10 @@ func TestIngestRejectionCounterParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.ids.Store(p.ID(), p)
-		b := &burst{profiles: []*vp.Profile{p}, countRejects: countRejects, done: make(chan struct{})}
-		if !sh.ring.push(b) {
-			t.Fatal("ring rejected the push")
+		b := &burst{profiles: []*vp.Profile{p}, countRejects: countRejects}
+		if !s.linkBurst(sh, b) {
+			t.Fatal("linkBurst found the shard evicted")
 		}
-		<-b.done
 		if b.stored != 0 || b.rejected != 1 || b.errs == nil || b.errs[0] == nil {
 			t.Fatalf("%s: burst result stored=%d rejected=%d errs=%v, want 1 rejection", name, b.stored, b.rejected, b.errs)
 		}

@@ -195,9 +195,9 @@ func NewSystem(cfg Config) (*System, error) {
 		maxUploadLag:   cfg.MaxUploadLagMinutes,
 		verdicts:       make(map[investigationKey]*verdictEntry),
 	}
-	// Pipeline stages recorded below the HTTP layer (ring wait, Stage,
-	// CommitStaged) and the admission gates' queue-depth sampling share
-	// the system's registry.
+	// Pipeline stages recorded below the HTTP layer (link-lock wait,
+	// Stage, CommitStaged) and the admission gates' queue-depth sampling
+	// share the system's registry.
 	store.metrics = sys.metrics
 	sys.overload.metrics = sys.metrics
 	// Verdict cache entries deliberately outlive shard eviction: their
@@ -313,8 +313,8 @@ func (sys *System) uploadBatchBody(data []byte, tr *obs.Trace) (BatchResult, err
 // store's gate counters, and returns the first such failure as first;
 // err is a failure of the whole batch (the journal), with nothing
 // stored. tr, nil for internal callers, receives the decode+validate
-// span timed here, the WAL append (journalIngest), and the
-// ring/link/commit spans of the shard workers it rides to.
+// span timed here, the WAL append (journalIngest), and the link-lock
+// wait, Stage and commit spans of the bursts it links.
 func (sys *System) uploadVPBatch(records [][]byte, trusted bool, tr *obs.Trace) (res BatchResult, first error, err error) {
 	decodeStart := time.Now()
 	fail := func(e error) {

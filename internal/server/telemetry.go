@@ -11,7 +11,7 @@ import (
 
 // HTTP-layer telemetry: the withTelemetry middleware times every
 // request into the per-endpoint latency histogram, mints the trace
-// that rides the ingest pipeline (burst rings, WAL group commit), and
+// that rides the ingest pipeline (minute bursts, WAL group commit), and
 // emits one structured log line — with the full per-stage span
 // breakdown — for requests slower than the configured threshold.
 // GET /v1/metrics serves every histogram in Prometheus text format;

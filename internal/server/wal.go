@@ -197,45 +197,7 @@ func openWALForAppend(path string, validSize int64, nextLSN uint64, interval tim
 // snapshot barrier registers append-before-commit records through it,
 // atomically with the AppendedLSN watermark they become visible in.
 func (w *wal) Append(typ byte, body []byte, onAssign func(lsn uint64)) (uint64, error) {
-	if len(body)+9 > maxWALRecord {
-		return 0, fmt.Errorf("server: WAL record of %d bytes exceeds the %d cap", len(body), maxWALRecord)
-	}
-	w.mu.Lock()
-	if w.closed || w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		if err == nil {
-			err = errWALClosed
-		}
-		return 0, err
-	}
-	lsn := w.next
-	w.next++
-	if err := walWriteRecord(w.bw, lsn, typ, body); err != nil {
-		w.fail(err)
-		w.mu.Unlock()
-		return 0, err
-	}
-	w.noteBuffered(lsn, len(body))
-	if onAssign != nil {
-		onAssign(lsn)
-	}
-	// Ask the syncer for durability, still under the lock: Close/abort
-	// mark the log closed under the same lock before they close the
-	// channel, so this send can never hit a closed channel. It is
-	// non-blocking — the channel holds at most one pending request,
-	// and a whole burst of appenders rides one fsync.
-	select {
-	case w.syncReq <- struct{}{}:
-	default:
-	}
-	// Wait for our LSN to become durable; cond.Wait releases the lock
-	// so the syncer (and other appenders) can proceed.
-	defer w.mu.Unlock()
-	for w.synced < lsn && w.err == nil {
-		w.cond.Wait()
-	}
-	return lsn, w.err
+	return w.AppendVec(typ, [][]byte{body}, onAssign)
 }
 
 // AppendVec is Append for a record whose body is the concatenation of
@@ -244,7 +206,6 @@ func (w *wal) Append(typ byte, body []byte, onAssign func(lsn uint64)) (uint64, 
 // with sub-slices of the request body — without first assembling the
 // body into one contiguous copy: the fragments stream straight into
 // the log's buffered writer, and the CRC accumulates across them.
-// Durability, LSN assignment, and onAssign semantics are Append's.
 func (w *wal) AppendVec(typ byte, frags [][]byte, onAssign func(lsn uint64)) (uint64, error) {
 	size := 0
 	for _, f := range frags {
@@ -273,10 +234,17 @@ func (w *wal) AppendVec(typ byte, frags [][]byte, onAssign func(lsn uint64)) (ui
 	if onAssign != nil {
 		onAssign(lsn)
 	}
+	// Ask the syncer for durability, still under the lock: Close/abort
+	// mark the log closed under the same lock before they close the
+	// channel, so this send can never hit a closed channel. It is
+	// non-blocking — the channel holds at most one pending request,
+	// and a whole burst of appenders rides one fsync.
 	select {
 	case w.syncReq <- struct{}{}:
 	default:
 	}
+	// Wait for our LSN to become durable; cond.Wait releases the lock
+	// so the syncer (and other appenders) can proceed.
 	defer w.mu.Unlock()
 	for w.synced < lsn && w.err == nil {
 		w.cond.Wait()
@@ -493,24 +461,11 @@ func (w *wal) abort() {
 // walWriteRecord frames one record onto w (Append's encoding; replay
 // tests build logs with it too).
 func walWriteRecord(w io.Writer, lsn uint64, typ byte, body []byte) error {
-	var hdr [walFrameOverhead]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(9+len(body)))
-	binary.BigEndian.PutUint64(hdr[8:16], lsn)
-	hdr[16] = typ
-	crc := crc32.Update(0, walCRC, hdr[8:17])
-	crc = crc32.Update(crc, walCRC, body)
-	binary.BigEndian.PutUint32(hdr[4:8], crc)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
+	return walWriteRecordVec(w, lsn, typ, [][]byte{body}, len(body))
 }
 
 // walWriteRecordVec frames one record whose body is the concatenation
 // of frags (size = total fragment bytes, precomputed by the caller).
-// Byte-for-byte identical on disk to walWriteRecord of the assembled
-// body.
 func walWriteRecordVec(w io.Writer, lsn uint64, typ byte, frags [][]byte, size int) error {
 	var hdr [walFrameOverhead]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(9+size))

@@ -33,7 +33,7 @@ import (
 // cities (disjoint footprints, one shared minute-sharded store)
 // through a diurnal traffic curve with fleet churn, injects a fault
 // plan mid-run — slow-disk WAL fsync stalls through the
-// DurabilityConfig.Fsync hook, snapshotter pauses, burst-ring
+// DurabilityConfig.Fsync hook, snapshotter pauses, ingest-gate
 // saturation through duplicate upload storms, crash-and-recover
 // windows through the WAL's ack-after-append seam, per-city clock
 // skew against the wall-clock admission window, and per-endpoint-class
@@ -75,10 +75,12 @@ type FaultPlan struct {
 	SnapshotPauseMinutes int
 	// SaturateFactor re-submits every upload batch of a slow-disk
 	// minute this many extra times, concurrently with the originals —
-	// burst-ring and admission-gate saturation. The duplicates are
-	// bit-identical wire bodies, so whatever interleaving wins, the
-	// stored profile set is unchanged (duplicate identifiers are
-	// rejected) and baseline equality is preserved.
+	// admission-gate saturation. The duplicates are bit-identical wire
+	// bodies: whichever copy claims an identifier first is the one
+	// linked, and every other copy is refused at its identifier claim
+	// (Store.commit) before it reaches a minute's linker, so whatever
+	// interleaving wins, the stored profile set is unchanged and
+	// baseline equality is preserved.
 	SaturateFactor int
 	// PartitionFrom and PartitionMinutes bound the evidence-board
 	// partition: every /v1/evidence request inside the window is
@@ -1147,8 +1149,9 @@ func Scenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 				return nil, err
 			}
 			jobs := plan.jobs
-			// Burst-ring saturation: duplicate storms ride the
-			// slow-disk window.
+			// Ingest-gate saturation: duplicate storms ride the
+			// slow-disk window; each copy after the first is refused at
+			// its identifier claim.
 			if inStall && cfg.Faults.SaturateFactor > 0 {
 				unique := len(jobs)
 				for k := 0; k < cfg.Faults.SaturateFactor; k++ {
