@@ -14,7 +14,13 @@
 //   - the metric catalog in docs/observability.md matches the Metric*
 //     constants of internal/obs exactly, in both directions — every
 //     registered series is documented and every documented name is
-//     registered.
+//     registered, and
+//   - every test, fuzz target or benchmark a Markdown file names in
+//     backticks (`TestRecoveryMatrix`) is a func in some _test.go
+//     file, so the invariant lists that cite their tests cannot keep
+//     citing a renamed or deleted one. At the repository root only
+//     README.md and ARCHITECTURE.md are checked: the other root files
+//     hold plans, history and quotations from other projects.
 //
 // Usage:
 //
@@ -86,6 +92,12 @@ func main() {
 		os.Exit(2)
 	}
 	findings = append(findings, metricFindings...)
+	testFindings, err := lintCitedTests(*root)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	findings = append(findings, testFindings...)
 
 	for _, f := range findings {
 		fmt.Println(f)
@@ -360,6 +372,68 @@ func lintMetricsCatalog(root string) ([]string, error) {
 	}
 	sort.Strings(findings)
 	return findings, nil
+}
+
+// citedTest matches a test, fuzz target or benchmark named in
+// backticks, alone or with a subtest path (`TestRecoveryMatrix/abort`).
+var citedTest = regexp.MustCompile("`((?:Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*)(?:/[^`]*)?`")
+
+// citingRootDocs are the root Markdown files that describe the code as
+// it is; the other root files may name tests that no longer exist.
+var citingRootDocs = map[string]bool{"README.md": true, "ARCHITECTURE.md": true}
+
+// lintCitedTests reports backticked test names in Markdown files that
+// name no top-level func of any _test.go file under root.
+func lintCitedTests(root string) ([]string, error) {
+	defined := map[string]bool{}
+	type citation struct {
+		where, name string
+	}
+	var cited []citation
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == ".git" || name == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		switch {
+		case strings.HasSuffix(d.Name(), "_test.go"):
+			file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return fmt.Errorf("repolint: parsing %s: %w", path, err)
+			}
+			for _, decl := range file.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+					defined[fn.Name.Name] = true
+				}
+			}
+		case strings.HasSuffix(d.Name(), ".md"):
+			if rel, _ := filepath.Rel(root, path); filepath.Dir(rel) == "." && !citingRootDocs[rel] {
+				return nil
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for i, line := range strings.Split(string(data), "\n") {
+				for _, m := range citedTest.FindAllStringSubmatch(line, -1) {
+					cited = append(cited, citation{fmt.Sprintf("%s:%d", path, i+1), m[1]})
+				}
+			}
+		}
+		return nil
+	})
+	var findings []string
+	for _, c := range cited {
+		if !defined[c.name] {
+			findings = append(findings, fmt.Sprintf("%s: cites %s, which no _test.go file defines", c.where, c.name))
+		}
+	}
+	return findings, err
 }
 
 // receiverName unwraps a method receiver to its type name.

@@ -18,15 +18,17 @@
 // header for trusted uploads, investigations and evidence release.
 //
 // Without -wal the server is ephemeral: everything lives in memory and
-// is lost on exit. -wal selects durable continuous operation: every admitted mutation
-// is appended (and fsynced) to the write-ahead log at PATH before it
-// is acknowledged, a background snapshotter checkpoints the full
-// system state to PATH.snap every -snapshot-interval and truncates the
-// log, and -retention N spills minute shards older than the newest N
-// minutes to per-minute segment files under PATH.segments/, keeping at
-// most -resident-minutes reloaded cold minutes in memory. On startup
-// the server recovers from whatever those files hold; a crash loses
-// nothing that was acknowledged. -wal-sync widens the group-commit
+// is lost on exit. -wal selects durable continuous operation: every
+// admitted mutation is appended (and fsynced) to the write-ahead log at
+// PATH before it is acknowledged, and every -snapshot-interval a
+// background checkpoint writes each minute that took ingest since the
+// last one to its segment file under PATH.segments/, writes the bank
+// and the evidence board to PATH.snap, and truncates the log.
+// -retention N evicts minute shards older than the newest N minutes
+// from memory, keeping at most -resident-minutes reloaded cold minutes
+// resident. On startup the server recovers from whatever those files
+// hold, restoring each minute from its segment when first touched; a
+// crash loses nothing that was acknowledged. -wal-sync widens the group-commit
 // window (more ingest throughput, higher ack latency — never less
 // durability). -wal-sync, -snapshot-interval, -retention and
 // -resident-minutes need -wal; setting one without it is refused at

@@ -13,9 +13,6 @@ import (
 // recorded second, so redaction maps each second's chunk to a frame,
 // localizes plates, and blurs them.
 
-// FrameBytes returns the chunk size of a w x h luminance frame.
-func FrameBytes(w, h int) int { return w * h }
-
 // RedactChunks runs plate redaction over a stored video's per-second
 // chunks. Every chunk whose length matches a w x h luminance frame is
 // interpreted as one, plates are localized and blurred, and the

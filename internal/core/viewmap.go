@@ -200,9 +200,6 @@ func (vm *Viewmap) NumEdges() int {
 	return total / 2
 }
 
-// Degree returns the viewlink count of node i.
-func (vm *Viewmap) Degree(i int) int { return len(vm.Adj[i]) }
-
 // Isolated returns the node ids with no viewlinks — the non-member
 // fraction Fig. 22f reports.
 func (vm *Viewmap) Isolated() []int {

@@ -99,8 +99,11 @@ func TestReadBodyContentLength(t *testing.T) {
 			}
 			var got bytes.Buffer
 			got.Write(rec.Body.Bytes())
-			if err := sys.SaveTo(&got); err != nil {
+			if err := sys.saveTo(&got); err != nil {
 				t.Fatal(err)
+			}
+			for _, m := range sys.Store().Minutes() {
+				got.Write(framedRecords(sys.Store().Minute(m)))
 			}
 			if want == nil {
 				want = got.Bytes()

@@ -12,7 +12,7 @@ import (
 // Bloom probing — costs far more than splicing it into the graph, and
 // investigations must not wait for it. Producers (Store.commit, the one
 // ingest call behind Put, PutBatch, every upload path, WAL replay and
-// snapshot load) group validated, identifier-claimed profiles into
+// a legacy snapshot's load) group validated, identifier-claimed profiles into
 // per-minute bursts, and each submitter links its own burst under the
 // minute's link lock (minuteShard.linkMu): builder.Stage for every
 // profile outside the shard lock, then one shard-lock hold to
@@ -161,5 +161,5 @@ func (s *Store) linkBurst(sh *minuteShard, b *burst) bool {
 
 // Close marks the store closed: later ingest and segment reloads fail
 // with errStoreClosed. Reads against resident shards keep working; the
-// System calls this on shutdown, after its final snapshot.
+// System calls this on shutdown, after its final checkpoint.
 func (s *Store) Close() { s.closed.Store(true) }

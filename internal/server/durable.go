@@ -21,19 +21,19 @@ import (
 )
 
 // Durable continuous operation. A plain NewSystem keeps everything in
-// memory and persists only on explicit SaveTo; OpenDurable layers
-// three mechanisms under the same System so it can run indefinitely:
+// memory and persists nothing; OpenDurable layers three mechanisms
+// under the same System so it can run indefinitely:
 //
 //   - every admitted mutation is appended (and fsynced, group-
 //     committed) to the ingest WAL before the request is acknowledged
 //     — the ack-after-append invariant;
-//   - a background snapshotter periodically writes the full system
-//     state next to the log and truncates the WAL up to the LSN the
-//     snapshot covers, so the log never grows without bound and
-//     recovery replays only a short tail;
-//   - minute-window retention (retention.go) spills shards older than
-//     the horizon to per-minute segment files and evicts them, so
-//     resident memory is bounded by the horizon plus the cold LRU.
+//   - a background checkpoint periodically spills every minute that
+//     changed to its segment file (retention.go), snapshots the covered
+//     LSN, the bank and the board, and truncates the WAL through that
+//     LSN, so the log never grows without bound and recovery replays
+//     only a short tail;
+//   - minute-window retention evicts shards older than the horizon,
+//     so resident memory is bounded by the horizon plus the cold LRU.
 //
 // Recovery = load the newest snapshot, adopt the segment files, replay
 // the WAL tail (idempotent: duplicate-ID rejection for VPs, state
@@ -46,8 +46,8 @@ type DurabilityConfig struct {
 	// WALPath is the ingest log file. Required. The snapshot and the
 	// segment directory default to sibling paths derived from it.
 	WALPath string
-	// SnapshotPath is the full-state snapshot file; empty selects
-	// WALPath + ".snap".
+	// SnapshotPath is the snapshot file (covered LSN, bank, board);
+	// empty selects WALPath + ".snap".
 	SnapshotPath string
 	// SegmentDir holds evicted minute segments; empty selects
 	// WALPath + ".segments".
@@ -58,14 +58,14 @@ type DurabilityConfig struct {
 	// values trade acknowledgement latency for fewer fsyncs per
 	// second, never durability — every ack still waits for its fsync.
 	SyncInterval time.Duration
-	// SnapshotInterval is the background snapshot period; zero
+	// SnapshotInterval is the background checkpoint period; zero
 	// disables the snapshotter (Checkpoint can still be called
-	// manually, and Close writes a final snapshot).
+	// manually, and Close runs a final one).
 	SnapshotInterval time.Duration
 	// RetentionMinutes is the resident minute horizon: shards older than
-	// the newest ingested minute minus this many minutes are spilled to
-	// segment files and evicted (Store.ApplyRetention). Zero keeps every
-	// minute resident.
+	// the newest ingested minute minus this many minutes are evicted to
+	// their segment files (Store.ApplyRetention). Zero keeps every minute
+	// resident once loaded.
 	RetentionMinutes int
 	// ResidentColdMinutes bounds reloaded cold minutes (LRU); zero
 	// selects 2.
@@ -101,14 +101,14 @@ func (c DurabilityConfig) withDefaults() DurabilityConfig {
 var ErrDurability = errors.New("server: durability log unavailable")
 
 // snapshotMagic heads a durable snapshot: the covered LSN followed by
-// the regular full-system state stream (systemMagic).
+// the full-system state stream (systemMagic).
 var snapshotMagic = [8]byte{'V', 'M', 'A', 'P', 'C', 'K', 'P', '1'}
 
 // inflightLSNs tracks append-before-commit records between their WAL
 // append and their store commit. The snapshot barrier must stay below
-// every such record: the snapshot cannot contain the mutation yet, so
-// truncating its record would lose an (about-to-be-)acknowledged
-// batch.
+// every such record: the checkpoint's segments cannot contain the
+// mutation yet, so truncating its record would lose an
+// (about-to-be-)acknowledged batch.
 type inflightLSNs struct {
 	mu  sync.Mutex
 	set map[uint64]struct{}
@@ -154,8 +154,8 @@ type durabilityRuntime struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	// checkpointMu serializes snapshot writes (the background loop, a
-	// manual Checkpoint, and Close share one temp path).
+	// checkpointMu serializes checkpoints (the background loop, a manual
+	// Checkpoint, and Close share one snapshot temp path).
 	checkpointMu sync.Mutex
 
 	mu          sync.Mutex
@@ -174,8 +174,8 @@ type durabilityRuntime struct {
 // segment files + WAL tail), opens the WAL for appending, writes a
 // bootstrap snapshot when none existed (so the bank keypair is durable
 // before the first unit is minted), and starts the snapshotter and
-// retention goroutines. Stop it with Close (graceful: final snapshot)
-// or Abort (crash simulation).
+// retention goroutines. Stop it with Close (graceful: final
+// checkpoint) or Abort (crash simulation).
 func OpenDurable(cfg Config, dcfg DurabilityConfig) (*System, error) {
 	if dcfg.WALPath == "" {
 		return nil, errors.New("server: durability needs a WAL path")
@@ -202,8 +202,8 @@ func OpenDurable(cfg Config, dcfg DurabilityConfig) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: loading snapshot: %w", err)
 	}
-	// Phase 2: adopt evicted minute segments (registers their
-	// identifiers so WAL replay rejects their records as duplicates).
+	// Phase 2: adopt the minute segments (registers their identifiers so
+	// WAL replay rejects their records as duplicates).
 	if _, err := sys.store.adoptSegments(); err != nil {
 		return nil, fmt.Errorf("server: adopting segments: %w", err)
 	}
@@ -271,17 +271,18 @@ func (sys *System) loadSnapshot(path string) (lsn uint64, ok bool, err error) {
 		return 0, false, errors.New("not a ViewMap snapshot file")
 	}
 	lsn = binary.BigEndian.Uint64(hdr[8:])
-	if _, err := sys.LoadFrom(br); err != nil {
+	if _, err := sys.loadFrom(br); err != nil {
 		return 0, false, err
 	}
 	return lsn, true, nil
 }
 
-// Checkpoint writes a snapshot of the full system state — covering
-// every WAL record up to the barrier LSN — to the snapshot path (temp
-// file, fsync, atomic rename), then truncates the WAL through that
-// LSN. The snapshotter calls this on its interval; tests and the
-// scenario engine call it directly.
+// Checkpoint spills every resident minute that changed since its last
+// spill to its segment file, writes the snapshot — the barrier LSN, the
+// bank and the evidence board — to the snapshot path (temp file, fsync,
+// atomic rename), then truncates the WAL through that LSN. The
+// snapshotter calls this on its interval; tests and the scenario
+// engine call it directly.
 func (sys *System) Checkpoint() error {
 	if sys.wal == nil {
 		return errors.New("server: system is not durable")
@@ -291,6 +292,11 @@ func (sys *System) Checkpoint() error {
 	defer d.checkpointMu.Unlock()
 	start := time.Now()
 	lsn := d.inflight.barrier(sys.wal.AppendedLSN())
+	// Every record through the barrier has committed, so the spilled
+	// segments hold it; a later one they hold too replays as a duplicate.
+	if err := sys.store.spillResident(); err != nil {
+		return err
+	}
 	path := d.cfg.SnapshotPath
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -304,10 +310,9 @@ func (sys *System) Checkpoint() error {
 		if _, err := f.Write(hdr[:]); err != nil {
 			return err
 		}
-		// Every section reaches the file in large writes of its own (the
-		// store section in recordChunk pieces), so no buffered writer
-		// sits in between.
-		if err := sys.SaveTo(f); err != nil {
+		// Every section reaches the file in one write of its own, so no
+		// buffered writer sits in between.
+		if err := sys.saveTo(f); err != nil {
 			return err
 		}
 		return f.Sync()
@@ -385,7 +390,7 @@ func (sys *System) noteDurabilityErr(err error) {
 	d.mu.Unlock()
 }
 
-// Close stops the durability goroutines, writes a final snapshot, and
+// Close stops the durability goroutines, runs a final checkpoint, and
 // closes the WAL. The System must not serve traffic afterwards.
 func (sys *System) Close() error {
 	if sys.wal == nil {
@@ -406,7 +411,7 @@ func (sys *System) Close() error {
 // Abort simulates a crash: the durability goroutines stop and the WAL
 // file handle is closed without flushing — acknowledged records are on
 // disk (every ack waited for its fsync), unacknowledged buffered ones
-// vanish. No final snapshot is written. Recovery tests and the
+// vanish. No final checkpoint runs. Recovery tests and the
 // scenario engine restart from the same directory afterwards.
 func (sys *System) Abort() {
 	if sys.wal == nil {
@@ -759,7 +764,7 @@ type DurabilityStats struct {
 	Fsyncs       int64   `json:"fsyncs"`
 	FsyncTotalMS float64 `json:"fsyncTotalMs"`
 	// SnapshotTotalMS and LastSnapshotMS are the cumulative and
-	// most-recent Checkpoint wall times in milliseconds.
+	// most-recent Checkpoint wall times (spills included) in ms.
 	SnapshotTotalMS float64 `json:"snapshotTotalMs"`
 	LastSnapshotMS  float64 `json:"lastSnapshotMs"`
 	// LastError is the most recent background durability failure

@@ -321,11 +321,15 @@ func TestDurableRecoverBetweenAppendAndCommit(t *testing.T) {
 	}
 }
 
-// TestStateFileOpensAsSnapshot pins the migration for a full-state
-// file (System.SaveTo, the format the removed signal-save mode wrote):
-// prefixed with the snapshot header and LSN 0 and saved as PATH.snap,
-// it opens under OpenDurable with no WAL file and serves the same
-// reports, bank key and evidence board as the system that wrote it.
+// TestStateFileOpensAsSnapshot pins the migration for a snapshot body
+// whose store section holds records, as snapshots did before segments
+// held every minute (and as the full-state files of the removed
+// signal-save mode did). Built by hand, prefixed with the snapshot
+// header and LSN 0 and saved as PATH.snap, it opens under OpenDurable
+// with no WAL file and serves the same reports, bank key and evidence
+// board as the system it describes. The first checkpoint then moves
+// both minutes into segments and writes an empty store section, and a
+// second reopen still serves the same reports.
 func TestStateFileOpensAsSnapshot(t *testing.T) {
 	src := controlSystem(t)
 	uploadMinute(t, 0, 60, 21, src)
@@ -333,19 +337,16 @@ func TestStateFileOpensAsSnapshot(t *testing.T) {
 	if sol, err := src.OpenSolicitation("t", durSite, 0, 2); err != nil || sol.Listed == 0 {
 		t.Fatalf("OpenSolicitation = (%+v, %v), want a listed board", sol, err)
 	}
-	var state bytes.Buffer
-	if err := src.SaveTo(&state); err != nil {
-		t.Fatal(err)
-	}
+	records := append(src.Store().Minute(0), src.Store().Minute(1)...)
 
 	dir := t.TempDir()
+	snapPath := filepath.Join(dir, "ingest.wal.snap")
 	snap := append([]byte("VMAPCKP1"), make([]byte, 8)...) // LSN 0
-	snap = append(snap, state.Bytes()...)
-	if err := os.WriteFile(filepath.Join(dir, "ingest.wal.snap"), snap, 0o644); err != nil {
+	snap = append(snap, systemStream(t, src, records)...)
+	if err := os.WriteFile(snapPath, snap, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	sys := openDurable(t, dir, 0)
-	defer sys.Close()
 	if got, want := sys.Store().Len(), src.Store().Len(); got != want {
 		t.Fatalf("migrated store holds %d VPs, want %d", got, want)
 	}
@@ -359,6 +360,37 @@ func TestStateFileOpensAsSnapshot(t *testing.T) {
 	}
 	if got, want := sys.Evidence().Board(), src.Evidence().Board(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("migrated board lists %d offers, want %d", len(got), len(want))
+	}
+
+	if err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for m := int64(0); m < 2; m++ {
+		profiles, _, err := sys.Store().readSegment(m)
+		if err != nil {
+			t.Fatalf("minute %d after the first checkpoint: %v", m, err)
+		}
+		if want := src.Store().Minute(m); !bytes.Equal(framedRecords(profiles), framedRecords(want)) {
+			t.Fatalf("minute %d: the segment holds %d records, want the migrated %d", m, len(profiles), len(want))
+		}
+	}
+	data, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := systemStream(t, src, nil); !bytes.Equal(data[16:], want) {
+		t.Fatalf("the first checkpoint wrote a %d-byte snapshot body, want the %d bytes with an empty store section", len(data)-16, len(want))
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	again := openDurable(t, dir, 0)
+	defer again.Close()
+	for m := int64(0); m < 2; m++ {
+		if got, want := report(t, again, m), report(t, src, m); !reflect.DeepEqual(got, want) {
+			t.Fatalf("minute %d: reports after the second reopen diverge from the source system", m)
+		}
 	}
 }
 
@@ -652,15 +684,16 @@ func TestReopenIgnoresTornSpillTemp(t *testing.T) {
 }
 
 // TestConcurrentSpillsOnDirtyMinutes races segment spills of the same
-// dirty minutes: four ApplyRetention sweeps and two cold-set trims run
-// at once, over hot minutes past the horizon and over cold minutes
-// that took a late ingest. Every spill of a minute goes through the
-// minute's one temp path, so unserialized racers fail their renames or
-// rename a torn segment into place. No call may fail, and every evicted
-// minute must reload report-equal to an always-resident control.
+// dirty minutes: four ApplyRetention sweeps, two cold-set trims and a
+// Checkpoint run at once, over hot minutes past the horizon and over
+// cold minutes that took a late ingest. Every spill of a minute goes
+// through the minute's one temp path, so unserialized racers fail their
+// renames or rename a torn segment into place. No call may fail, every
+// evicted minute must reload report-equal to an always-resident
+// control, and so must every minute after a crash and a reopen.
 func TestConcurrentSpillsOnDirtyMinutes(t *testing.T) {
-	sys := openDurable(t, t.TempDir(), 1)
-	defer sys.Close()
+	dir := t.TempDir()
+	sys := openDurable(t, dir, 1)
 	control := controlSystem(t)
 	st := sys.Store()
 
@@ -689,22 +722,25 @@ func TestConcurrentSpillsOnDirtyMinutes(t *testing.T) {
 			t.Fatalf("round %d: %d cold minutes resident before the race, want 3", round, ret.ColdResident)
 		}
 
-		errs := make(chan error, 6)
+		errs := make(chan error, 7)
 		start := make(chan struct{})
 		var wg sync.WaitGroup
-		for g := 0; g < 6; g++ {
+		for g := 0; g < 7; g++ {
 			wg.Add(1)
-			go func(sweep bool) {
+			go func(g int) {
 				defer wg.Done()
 				<-start
 				var err error
-				if sweep {
+				switch {
+				case g < 4:
 					_, err = st.ApplyRetention()
-				} else {
+				case g < 6:
 					_, err = st.trimCold()
+				default:
+					err = sys.Checkpoint()
 				}
 				errs <- err
-			}(g < 4)
+			}(g)
 		}
 		close(start)
 		wg.Wait()
@@ -723,11 +759,24 @@ func TestConcurrentSpillsOnDirtyMinutes(t *testing.T) {
 			t.Fatalf("minute %d: verdicts after concurrent spills diverge from the resident control", m)
 		}
 	}
+	sys.Abort()
+	rec := openDurable(t, dir, 1)
+	defer rec.Close()
+	for m := int64(0); m < minute; m++ {
+		if got, want := report(t, rec, m), report(t, control, m); !reflect.DeepEqual(got, want) {
+			t.Fatalf("minute %d: verdicts after a crash and a reopen diverge from the resident control", m)
+		}
+	}
 }
 
 // TestRetentionSurvivesCrash checks the segment/WAL split: evicted
-// minutes recover from their segment files, resident ones from
-// snapshot + WAL, and verdicts match the control everywhere.
+// minutes recover from their segment files, resident ones from the
+// segments the checkpoint spilled + WAL, and verdicts match the control
+// everywhere. After the crash's reopen, and again after a clean
+// restart has left every minute in its segment, an upload into the
+// newest minute followed by cold queries on three evicted minutes must
+// leave the newest minute resident and hot: a minute inside the
+// horizon reloads as a hot shard, which the cold LRU cannot trim.
 func TestRetentionSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
 	sys := openDurable(t, dir, 2)
@@ -748,7 +797,6 @@ func TestRetentionSurvivesCrash(t *testing.T) {
 	sys.Abort()
 
 	rec := openDurable(t, dir, 2)
-	defer rec.Close()
 	if got := rec.Store().Len(); got != preLen {
 		t.Fatalf("recovered %d VPs, want %d", got, preLen)
 	}
@@ -756,5 +804,130 @@ func TestRetentionSurvivesCrash(t *testing.T) {
 		if got, want := report(t, rec, m), report(t, control, m); !reflect.DeepEqual(got, want) {
 			t.Fatalf("minute %d verdicts diverge after crash with retention", m)
 		}
+	}
+
+	newestStaysHot := func(sys *System, seed int64) {
+		t.Helper()
+		uploadMinute(t, minutes-1, 4, seed, sys, control)
+		// Minute reloads an evicted minute even where the verdict cache
+		// would answer a report.
+		for _, m := range []int64{0, 1, 2} {
+			if got, want := len(sys.Store().Minute(m)), len(control.Store().Minute(m)); got != want {
+				t.Fatalf("minute %d holds %d VPs, the control %d", m, got, want)
+			}
+		}
+		if _, err := sys.Store().ApplyRetention(); err != nil {
+			t.Fatal(err)
+		}
+		sh := sys.Store().shard(minutes - 1)
+		if sh == nil || sh.cold {
+			t.Fatalf("newest minute after cold queries: resident %v, want a hot resident shard", sh != nil)
+		}
+		if got, want := report(t, sys, minutes-1), report(t, control, minutes-1); !reflect.DeepEqual(got, want) {
+			t.Fatal("newest minute's verdicts diverge from the control")
+		}
+	}
+	newestStaysHot(rec, 40)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again := openDurable(t, dir, 2)
+	defer again.Close()
+	newestStaysHot(again, 41)
+}
+
+// TestCheckpointWritesOnlyChangedMinutes checks that a checkpoint
+// spills only the minutes that took ingest since the last one, and
+// that the snapshot no longer carries the VP store: a second
+// checkpoint after ingest into minute 1 alone replaces minute 1's
+// segment and leaves the files of minutes 0 and 2 in place, and
+// doubling the resident VPs leaves the snapshot's size unchanged.
+func TestCheckpointWritesOnlyChangedMinutes(t *testing.T) {
+	dir := t.TempDir()
+	sys := openDurable(t, dir, 0)
+	defer sys.Close()
+	st := sys.Store()
+	for m := int64(0); m < 3; m++ {
+		uploadMinute(t, m, 20, 600+m, sys)
+	}
+	if err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	snapPath := filepath.Join(dir, "ingest.wal.snap")
+	snapInfo := func() os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(snapPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	snapSize := snapInfo().Size()
+	segInfo := func() []os.FileInfo {
+		t.Helper()
+		var out []os.FileInfo
+		for m := int64(0); m < 3; m++ {
+			fi, err := os.Stat(st.segmentPath(m))
+			if err != nil {
+				t.Fatalf("minute %d after a checkpoint: %v", m, err)
+			}
+			out = append(out, fi)
+		}
+		return out
+	}
+	before := segInfo()
+
+	uploadMinute(t, 1, 5, 610, sys)
+	if err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	after := segInfo()
+	for m, changed := range []bool{false, true, false} {
+		if same := os.SameFile(before[m], after[m]); same == changed {
+			t.Fatalf("minute %d: segment replaced = %v, want %v", m, !same, changed)
+		}
+	}
+
+	for m := int64(3); m < 6; m++ {
+		uploadMinute(t, m, 20, 600+m, sys)
+	}
+	if err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapInfo().Size(); got != snapSize {
+		t.Fatalf("snapshot grew from %d to %d bytes with the resident VPs; it must hold only the LSN, the bank and the board", snapSize, got)
+	}
+}
+
+// TestCleanRestartLeavesMinutesInSegments checks that a clean restart
+// restores nothing up front: every minute stays in its segment until
+// its first touch, which reloads it once and answers as before the
+// restart.
+func TestCleanRestartLeavesMinutesInSegments(t *testing.T) {
+	dir := t.TempDir()
+	sys := openDurable(t, dir, 0)
+	const minutes = 4
+	var pre []*FullReport
+	for m := int64(0); m < minutes; m++ {
+		uploadMinute(t, m, 20, 700+m, sys)
+		pre = append(pre, report(t, sys, m))
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := openDurable(t, dir, 0)
+	defer rec.Close()
+	ret := rec.Store().RetentionStatsSnapshot()
+	if ret.ResidentMinutes != 0 || ret.EvictedMinutes != minutes {
+		t.Fatalf("after a clean restart %d minutes are resident and %d in segments, want 0 and %d", ret.ResidentMinutes, ret.EvictedMinutes, minutes)
+	}
+	for m := int64(0); m < minutes; m++ {
+		if got := report(t, rec, m); !reflect.DeepEqual(got, pre[m]) {
+			t.Fatalf("minute %d: report after the restart diverges from before it", m)
+		}
+	}
+	if got := rec.Store().RetentionStatsSnapshot().Reloads - ret.Reloads; got != minutes {
+		t.Fatalf("the first query of each minute reloaded %d segments, want %d", got, minutes)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"image"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -88,19 +89,35 @@ func driveCameraConvoy(t *testing.T) (vehicles []*client.Vehicle, police *client
 
 func newEvidenceSystem(t *testing.T) *server.System {
 	t.Helper()
-	sys, err := server.NewSystem(server.Config{
-		AuthorityToken: "secret-token",
-		Bank:           sharedBank(t),
-		Evidence:       evidence.Config{FrameWidth: evidenceFrameW, FrameHeight: evidenceFrameH},
-	})
+	sys, err := server.NewSystem(evidenceConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sys
 }
 
+// openEvidenceSystem opens the same system durably, with its data
+// directory in dir.
+func openEvidenceSystem(t *testing.T, dir string) *server.System {
+	t.Helper()
+	sys, err := server.OpenDurable(evidenceConfig(t), server.DurabilityConfig{WALPath: filepath.Join(dir, "ingest.wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+func evidenceConfig(t *testing.T) server.Config {
+	return server.Config{
+		AuthorityToken: "secret-token",
+		Bank:           sharedBank(t),
+		Evidence:       evidence.Config{FrameWidth: evidenceFrameW, FrameHeight: evidenceFrameH},
+	}
+}
+
 func TestEvidenceEndToEnd(t *testing.T) {
-	sys := newEvidenceSystem(t)
+	dir := t.TempDir()
+	sys := openEvidenceSystem(t, dir)
 	ts := httptest.NewServer(server.Handler(sys))
 	defer ts.Close()
 	api, err := client.NewAPI(ts.URL, ts.Client())
@@ -275,16 +292,14 @@ func TestEvidenceEndToEnd(t *testing.T) {
 		t.Fatal("the second civilian VP should still be solicited")
 	}
 
-	// Phase 6: restart. The full state crosses a save/load cycle: the
-	// double-spend ledger, the remaining board, the released video.
-	var state bytes.Buffer
-	if err := sys.SaveTo(&state); err != nil {
+	// Phase 6: restart. The full state crosses a close and a reopen of
+	// the data directory: the double-spend ledger, the remaining board,
+	// the released video.
+	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sys2 := newEvidenceSystem(t)
-	if _, err := sys2.LoadFrom(bytes.NewReader(state.Bytes())); err != nil {
-		t.Fatal(err)
-	}
+	sys2 := openEvidenceSystem(t, dir)
+	defer sys2.Close()
 	ts2 := httptest.NewServer(server.Handler(sys2))
 	defer ts2.Close()
 	api2, err := client.NewAPI(ts2.URL, ts2.Client())

@@ -1,6 +1,6 @@
-package server_test
+package server
 
-// Native fuzz target for the snapshot decoder: System.LoadFrom reads
+// Native fuzz target for the snapshot decoder: System.loadFrom reads
 // the full-system VMAPSYS1 stream every snapshot carries. Operators
 // restore snapshots they did not necessarily write, so the decoder
 // must never panic and must refuse hostile length prefixes without
@@ -16,14 +16,14 @@ import (
 
 	"viewmap/internal/core"
 	"viewmap/internal/geo"
-	"viewmap/internal/server"
 )
 
-// savedState builds one full-system stream over a small real
-// population.
-func savedState(tb testing.TB) []byte {
+// savedStates builds the two snapshot bodies the reader accepts over a
+// small real population: the current one, whose store section is empty,
+// and a legacy one whose store section holds the population's records.
+func savedStates(tb testing.TB) (current, legacy []byte) {
 	tb.Helper()
-	sys, err := server.NewSystem(server.Config{AuthorityToken: "seed", Bank: sharedBank(tb)})
+	sys, err := NewSystem(Config{AuthorityToken: "seed", Bank: sharedBankInternal(tb)})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -33,52 +33,40 @@ func savedState(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	core.MarkTrustedNearest(profiles, area.Center())
-	for _, p := range profiles {
-		trusted := p.Trusted
-		p.Trusted = false
-		if trusted {
-			if err := sys.UploadTrustedVP("seed", p.Marshal()); err != nil {
-				tb.Fatal(err)
-			}
-			p.Trusted = true
-			continue
-		}
-		if err := sys.UploadVP(p.Marshal()); err != nil {
-			tb.Fatal(err)
-		}
-	}
 	var buf bytes.Buffer
-	if err := sys.SaveTo(&buf); err != nil {
+	if err := sys.saveTo(&buf); err != nil {
 		tb.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf.Bytes(), systemStream(tb, sys, profiles)
 }
 
 // FuzzSystemLoadFrom hammers the restore path with a real stream plus
 // corruptions. Every iteration restores into a fresh system; errors
 // are fine, panics and prefix-sized allocations are not.
 func FuzzSystemLoadFrom(f *testing.F) {
-	system := savedState(f)
-	f.Add(system)
-	f.Add(system[:8])
-	f.Add(system[:28]) // through the store section's record count
+	current, legacy := savedStates(f)
+	for _, system := range [][]byte{current, legacy} {
+		f.Add(system)
+		f.Add(system[:28])             // through the store section's record count
+		f.Add(system[:len(system)-10]) // evidence section cut short
+	}
+	f.Add(current[:8])
 	f.Add([]byte("VMAPSYS1"))
-	f.Add(system[:len(system)-10]) // evidence section cut short
-	hostile := append([]byte(nil), system[:8]...)
+	hostile := append([]byte(nil), current[:8]...)
 	hostile = binary.BigEndian.AppendUint64(hostile, 1<<40) // section claims 1 TB
 	f.Add(hostile)
 	f.Add(hostileRecordState())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sys, err := server.NewSystem(server.Config{AuthorityToken: "fuzz", Bank: sharedBank(t)})
+		sys, err := NewSystem(Config{AuthorityToken: "fuzz", Bank: sharedBankInternal(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := sys.LoadFrom(bytes.NewReader(data))
+		loaded, err := sys.loadFrom(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		if loaded != sys.Store().Len() {
-			t.Fatalf("LoadFrom reported %d profiles, store holds %d", loaded, sys.Store().Len())
+			t.Fatalf("loadFrom reported %d profiles, store holds %d", loaded, sys.Store().Len())
 		}
 	})
 }
@@ -88,7 +76,7 @@ func FuzzSystemLoadFrom(f *testing.F) {
 // a stream holding a handful of bytes must error after reading what
 // is actually there — never allocate the claim.
 func TestLoadFromHostileSectionLength(t *testing.T) {
-	sys, err := server.NewSystem(server.Config{AuthorityToken: "t", Bank: sharedBank(t)})
+	sys, err := NewSystem(Config{AuthorityToken: "t", Bank: sharedBankInternal(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +84,7 @@ func TestLoadFromHostileSectionLength(t *testing.T) {
 	over := []byte("VMAPSYS1")
 	over = binary.BigEndian.AppendUint64(over, 1<<40)
 	over = append(over, "only a few real bytes"...)
-	if _, err := sys.LoadFrom(bytes.NewReader(over)); err == nil {
+	if _, err := sys.loadFrom(bytes.NewReader(over)); err == nil {
 		t.Fatal("section claiming 1 TB must not load")
 	}
 	// A claim under the cap but far beyond the stream must fail on
@@ -105,7 +93,7 @@ func TestLoadFromHostileSectionLength(t *testing.T) {
 	under := []byte("VMAPSYS1")
 	under = binary.BigEndian.AppendUint64(under, 1<<32)
 	under = append(under, "only a few real bytes"...)
-	if _, err := sys.LoadFrom(bytes.NewReader(under)); err == nil {
+	if _, err := sys.loadFrom(bytes.NewReader(under)); err == nil {
 		t.Fatal("section claiming 4 GB against 21 real bytes must not load")
 	} else if !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("unexpected error: %v", err)
@@ -128,11 +116,11 @@ func hostileRecordState() []byte {
 // the store section: a record claiming more than the 1 MB cap is
 // refused by the length check before any allocation.
 func TestLoadFromHostileRecordLength(t *testing.T) {
-	sys, err := server.NewSystem(server.Config{AuthorityToken: "t", Bank: sharedBank(t)})
+	sys, err := NewSystem(Config{AuthorityToken: "t", Bank: sharedBankInternal(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.LoadFrom(bytes.NewReader(hostileRecordState())); err == nil || !strings.Contains(err.Error(), "record 0 claims") {
+	if _, err := sys.loadFrom(bytes.NewReader(hostileRecordState())); err == nil || !strings.Contains(err.Error(), "record 0 claims") {
 		t.Fatalf("record claiming 1 GB: got %v, want the record-length refusal", err)
 	}
 }

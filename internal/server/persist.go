@@ -10,23 +10,23 @@ import (
 	"viewmap/internal/vp"
 )
 
-// VP database persistence: the store section of the full-system stream
-// is a length-prefixed stream of VP wire records (the same anonymous
-// format vehicles upload), each preceded by a one-byte trusted flag —
-// the only server-side annotation. The format deliberately contains
-// nothing else: the on-disk database is exactly as anonymous as the
-// in-memory one.
+// VP record framing. Minute segments (retention.go) hold the records;
+// the snapshot's store section (VMAPDB01) is written empty and holds
+// records only in snapshots older than that. A record is the anonymous
+// wire format vehicles upload, preceded by a one-byte trusted flag —
+// the only server-side annotation, so the on-disk database is exactly
+// as anonymous as the in-memory one.
 
 // persistMagic heads the store section's VP record stream.
 var persistMagic = [8]byte{'V', 'M', 'A', 'P', 'D', 'B', '0', '1'}
 
 // recordWriter frames VP records as `u32 wire length | u8 trusted flag
-// | wire record`, the framing the store stream and the minute segments
-// share. It marshals every profile straight into one reused buffer and
-// hands that buffer to the destination in recordChunk-sized writes, so
-// a writer kept across uses (the store keeps one for its segment
-// spills) allocates nothing once its buffer has grown. Not safe for
-// concurrent use.
+// | wire record`, the framing of a minute segment's records (and of
+// the legacy store section loadSection reads). It marshals every
+// profile straight into one reused buffer and hands that buffer to the
+// destination in recordChunk-sized writes, so the writer the store
+// keeps for its segment spills allocates nothing once its buffer has
+// grown. Not safe for concurrent use.
 type recordWriter struct {
 	buf []byte
 }
@@ -37,9 +37,8 @@ type recordWriter struct {
 const recordChunk = 64 << 10
 
 // write writes head (the format's fixed header) followed by the framed
-// records of profiles to w, returning the bytes written.
-func (rw *recordWriter) write(w io.Writer, head []byte, profiles []*vp.Profile) (int64, error) {
-	var written int64
+// records of profiles to w.
+func (rw *recordWriter) write(w io.Writer, head []byte, profiles []*vp.Profile) error {
 	buf := append(rw.buf[:0], head...)
 	for _, p := range profiles {
 		var trusted byte
@@ -50,53 +49,22 @@ func (rw *recordWriter) write(w io.Writer, head []byte, profiles []*vp.Profile) 
 		buf = append(buf, trusted)
 		buf = p.AppendMarshal(buf)
 		if len(buf) >= recordChunk {
-			n, err := w.Write(buf)
-			written += int64(n)
-			if err != nil {
-				return written, err
+			if _, err := w.Write(buf); err != nil {
+				return err
 			}
 			buf = buf[:0]
 		}
 	}
-	n, err := w.Write(buf)
+	_, err := w.Write(buf)
 	rw.buf = buf[:0]
-	return written + int64(n), err
-}
-
-// storeStreamLen returns the byte length of the VMAPDB01 stream of
-// profiles, computed from each profile's fixed wire length.
-func storeStreamLen(profiles []*vp.Profile) int64 {
-	n := int64(len(persistMagic) + 4)
-	for _, p := range profiles {
-		n += 5 + int64(p.WireLen())
-	}
-	return n
-}
-
-// saveSection streams the database as the store section of the
-// full-system stream: the u64 section length, computed up front from
-// the profiles' wire lengths, then the VMAPDB01 stream. The section is
-// never assembled in memory.
-func (s *Store) saveSection(w io.Writer) error {
-	profiles := s.snapshot()
-	size := storeStreamLen(profiles)
-	var head [20]byte
-	binary.BigEndian.PutUint64(head[:8], uint64(size))
-	copy(head[8:], persistMagic[:])
-	binary.BigEndian.PutUint32(head[16:], uint32(len(profiles)))
-	written, err := new(recordWriter).write(w, head[:], profiles)
-	if err == nil && written != 8+size {
-		// The prefix promised a length the stream did not deliver; the
-		// state file would not load, so fail the save instead.
-		err = fmt.Errorf("server: store section wrote %d bytes, its prefix promised %d", written-8, size)
-	}
 	return err
 }
 
-// loadSection ingests the VMAPDB01 stream of a store section written
-// by saveSection, validating every record as if it were a fresh upload,
-// and commits the records as one burst per minute. Records already
-// present are skipped; any other failure aborts the load.
+// loadSection ingests the VMAPDB01 stream of a legacy store section,
+// validating every record as if it were a fresh upload, and commits
+// the records as one burst per minute; the minutes, dirty, move to
+// segments at the next checkpoint. Records already present are
+// skipped; any other failure aborts the load.
 func (s *Store) loadSection(r io.Reader) (loaded int, err error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -143,23 +111,21 @@ func (s *Store) loadSection(r io.Reader) (loaded int, err error) {
 	return res.Stored, nil
 }
 
-// Full-system persistence: one file carrying the VP database, the
-// reward bank (blind-signing keypair + double-spend ledger), and the
-// evidence board (solicitations, accepted deliveries, payout
-// entitlements). Restoring it resumes the whole service: units minted
-// before the restart still verify, spent units stay spent, open
+// Full-system persistence: the snapshot body carries the reward bank
+// (keypair + spent ledger) and the evidence board behind an empty
+// store section. With the segments it resumes the whole service: units
+// minted before the restart still verify, spent units stay spent, open
 // solicitations stay open, and accepted evidence stays releasable.
 
-// systemMagic heads a full-system state file.
+// systemMagic heads a full-system state stream.
 var systemMagic = [8]byte{'V', 'M', 'A', 'P', 'S', 'Y', 'S', '1'}
 
-// maxSection bounds one state section; the VP store dominates and a
-// million stored VPs is ~5 GB, far above any test or demo deployment.
+// maxSection bounds one state section: the board with its videos, or
+// a legacy store section (a million VPs is ~5 GB).
 const maxSection = int64(8) << 30
 
 // writeSection writes one length-prefixed section, assembling it in
-// memory to learn its length. The bank and board sections use it; the
-// store section is streamed (Store.saveSection).
+// memory to learn its length.
 func writeSection(w io.Writer, save func(io.Writer) error) error {
 	var buf bytes.Buffer
 	if err := save(&buf); err != nil {
@@ -206,17 +172,16 @@ func readSection(r io.Reader) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// SaveTo streams the full system state — store, bank, evidence board
-// — to w. Each subsystem snapshots itself consistently; the three
-// sections are cut in sequence, so a save racing ongoing traffic may
-// observe, say, a delivery whose VP arrived just before the store
-// section was cut — the same guarantee a crash-stop would give.
-func (sys *System) SaveTo(w io.Writer) error {
-	if _, err := w.Write(systemMagic[:]); err != nil {
+// saveTo writes the snapshot body: the system magic, the empty store
+// section (u64 12 | VMAPDB01 | u32 0), then the bank and board sections.
+func (sys *System) saveTo(w io.Writer) error {
+	head := make([]byte, 0, 28)
+	head = append(head, systemMagic[:]...)
+	head = binary.BigEndian.AppendUint64(head, uint64(len(persistMagic)+4))
+	head = append(head, persistMagic[:]...)
+	head = binary.BigEndian.AppendUint32(head, 0)
+	if _, err := w.Write(head); err != nil {
 		return err
-	}
-	if err := sys.store.saveSection(w); err != nil {
-		return fmt.Errorf("server: saving store: %w", err)
 	}
 	if err := writeSection(w, sys.bank.SaveTo); err != nil {
 		return fmt.Errorf("server: saving bank: %w", err)
@@ -227,10 +192,10 @@ func (sys *System) SaveTo(w io.Writer) error {
 	return nil
 }
 
-// LoadFrom restores state written by SaveTo into this (freshly
-// constructed) system. Call before serving traffic — the bank keypair
-// is replaced in place.
-func (sys *System) LoadFrom(r io.Reader) (vps int, err error) {
+// loadFrom restores a snapshot body into this (freshly constructed)
+// system, relinking the records of a legacy store section. Call before
+// serving traffic — the bank keypair is replaced in place.
+func (sys *System) loadFrom(r io.Reader) (vps int, err error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return 0, fmt.Errorf("server: reading state header: %w", err)

@@ -14,8 +14,8 @@ import (
 	"viewmap/internal/vp"
 )
 
-// newPersistSystem is a bare (non-durable) system for the
-// SaveTo/LoadFrom round trips.
+// newPersistSystem is a bare (non-durable) system for the snapshot
+// body's reader and writer.
 func newPersistSystem(t *testing.T) *System {
 	t.Helper()
 	sys, err := NewSystem(Config{AuthorityToken: "tok", Bank: sharedBankInternal(t)})
@@ -25,8 +25,11 @@ func newPersistSystem(t *testing.T) *System {
 	return sys
 }
 
+// TestSaveLoadRoundTrip restarts a durable system and checks that its
+// VPs, the trusted flag among them, come back from the segments.
 func TestSaveLoadRoundTrip(t *testing.T) {
-	sys := newPersistSystem(t)
+	dir := t.TempDir()
+	sys := openDurable(t, dir, 0)
 	s := sys.Store()
 	trusted := fabricate(t, 0, 41)
 	trusted.Trusted = true
@@ -37,22 +40,16 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	wantMinute0 := len(s.Minute(0))
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	var buf bytes.Buffer
-	if err := sys.SaveTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restoredSys := newPersistSystem(t)
-	n, err := restoredSys.LoadFrom(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 {
-		t.Fatalf("loaded %d records, want 4", n)
-	}
+	restoredSys := openDurable(t, dir, 0)
+	defer restoredSys.Close()
 	restored := restoredSys.Store()
-	if restored.Len() != s.Len() {
-		t.Errorf("Len = %d, want %d", restored.Len(), s.Len())
+	if restored.Len() != 4 {
+		t.Errorf("Len = %d, want 4", restored.Len())
 	}
 	if restored.TrustedCount() != 1 {
 		t.Errorf("TrustedCount = %d, want 1", restored.TrustedCount())
@@ -62,7 +59,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Error("trusted flag must survive the round trip")
 	}
 	// Profiles still answer linkage queries after the round trip.
-	if len(restored.Minute(0)) != len(s.Minute(0)) {
+	if len(restored.Minute(0)) != wantMinute0 {
 		t.Error("minute index must survive the round trip")
 	}
 }
@@ -85,12 +82,13 @@ func framedRecords(profiles []*vp.Profile) []byte {
 	return out
 }
 
-// wantSystemStream builds the VMAPSYS1 stream of sys by hand: the store
-// section from framedRecords, the bank and board sections from their
-// own SaveTo.
-func wantSystemStream(t *testing.T, sys *System) []byte {
+// systemStream builds a VMAPSYS1 stream of sys by hand: a store section
+// holding profiles in the recordWriter framing (framedRecords), then
+// the bank and board sections from their own SaveTo. With no profiles
+// it is the snapshot body saveTo writes; with profiles it is a legacy
+// body, written before segments held every minute.
+func systemStream(t testing.TB, sys *System, profiles []*vp.Profile) []byte {
 	t.Helper()
-	profiles := sys.store.snapshot()
 	store := append([]byte("VMAPDB01"), binary.BigEndian.AppendUint32(nil, uint32(len(profiles)))...)
 	store = append(store, framedRecords(profiles)...)
 	var bank, board bytes.Buffer
@@ -108,32 +106,34 @@ func wantSystemStream(t *testing.T, sys *System) []byte {
 	return out
 }
 
-// TestPersistFormatPin pins every store-carrying file to the documented
-// framing built from vp.Profile.Marshal: System.SaveTo, the durable
-// snapshot, and minute segments (written through the store's one
-// spill writer), whose link section is built from core.Build's graph
-// and whose CRC-32C is computed here. Minute 0 spans several
-// recordChunk writes, and the second snapshot and segment are smaller
-// than the first, so stale bytes left in a reused buffer would show.
+// TestPersistFormatPin pins the snapshot and the minute segments to the
+// documented framing built from vp.Profile.Marshal: the snapshot body
+// (saveTo) with its empty store section, and the segments checkpoints
+// write through the store's one spill writer, whose link section is
+// built from core.Build's graph and whose CRC-32C is computed here.
+// Minute 0 spans several recordChunk writes, and minute 1's segment is
+// smaller than minute 0's, so stale bytes left in the reused buffer
+// would show.
 func TestPersistFormatPin(t *testing.T) {
 	dir := t.TempDir()
 	sys := openDurable(t, dir, 0)
 	defer sys.Close()
+	st := sys.Store()
 	uploadMinute(t, 0, 40, 91, sys)
-	if sec := storeStreamLen(sys.store.snapshot()); sec < 2*recordChunk {
-		t.Fatalf("store section is %d bytes; the pin needs more than two chunks", sec)
+	if n := len(framedRecords(st.Minute(0))); n < 2*recordChunk {
+		t.Fatalf("minute 0's records are %d bytes; the pin needs more than two chunks", n)
 	}
 
 	var got bytes.Buffer
-	if err := sys.SaveTo(&got); err != nil {
+	if err := sys.saveTo(&got); err != nil {
 		t.Fatal(err)
 	}
-	if want := wantSystemStream(t, sys); !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("System.SaveTo wrote %d bytes, the documented framing is %d", got.Len(), len(want))
+	if want := systemStream(t, sys, nil); !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("saveTo wrote %d bytes, the documented framing is %d", got.Len(), len(want))
 	}
 
 	snapPath := filepath.Join(dir, "ingest.wal.snap")
-	checkSnapshot := func(stage string) {
+	checkpoint := func(stage string) {
 		t.Helper()
 		if err := sys.Checkpoint(); err != nil {
 			t.Fatal(err)
@@ -143,27 +143,14 @@ func TestPersistFormatPin(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := append([]byte("VMAPCKP1"), binary.BigEndian.AppendUint64(nil, sys.DurabilityStatsSnapshot().SnapshotLSN)...)
-		want = append(want, wantSystemStream(t, sys)...)
+		want = append(want, systemStream(t, sys, nil)...)
 		if !bytes.Equal(data, want) {
 			t.Fatalf("%s snapshot is %d bytes, the documented framing is %d", stage, len(data), len(want))
 		}
 	}
-	checkSnapshot("first")
-
-	st := sys.Store()
 	checkSegment := func(m int64) {
 		t.Helper()
-		sh := st.shard(m)
-		sh.mu.Lock()
-		profiles := append([]*vp.Profile(nil), sh.profiles...)
-		links := sh.builder.LowerLinks()
-		sh.mu.Unlock()
-		st.spillMu.Lock()
-		err := st.writeSegment(m, profiles, links)
-		st.spillMu.Unlock()
-		if err != nil {
-			t.Fatal(err)
-		}
+		profiles := st.Minute(m)
 		data, err := os.ReadFile(st.segmentPath(m))
 		if err != nil {
 			t.Fatal(err)
@@ -177,19 +164,23 @@ func TestPersistFormatPin(t *testing.T) {
 			t.Fatalf("minute %d segment is %d bytes, the documented framing is %d", m, len(data), len(want))
 		}
 	}
+	checkpoint("first")
+	checkSegment(0)
+
 	// A quarantined record sits in the segment without a link list.
 	if err := sys.UploadVP(implausibleProfile(t, 0, 93).Marshal()); err != nil {
 		t.Fatal(err)
 	}
+	checkpoint("second")
 	checkSegment(0)
 
-	// Shrink the store — minute 0 leaves for its segment — and add a
-	// small minute 1, then pin the snapshot and the spill writer again.
+	// Minute 0 leaves memory, and a small minute 1 goes through the spill
+	// writer next.
 	uploadMinute(t, 1, 6, 92, sys)
 	if err := st.evictShard(0); err != nil {
 		t.Fatal(err)
 	}
-	checkSnapshot("second")
+	checkpoint("third")
 	checkSegment(1)
 }
 
@@ -233,37 +224,33 @@ func wantLinkSection(t *testing.T, profiles []*vp.Profile, m int64) []byte {
 
 func TestLoadFromRejectsGarbage(t *testing.T) {
 	sys := newPersistSystem(t)
-	if _, err := sys.LoadFrom(bytes.NewReader([]byte("not a state file"))); err == nil {
+	if _, err := sys.loadFrom(bytes.NewReader([]byte("not a state file"))); err == nil {
 		t.Error("bad magic should fail")
 	}
 	// A bare store stream is not a state file: VMAPDB01 appears only as
 	// the store section inside VMAPSYS1.
 	bare := append([]byte("VMAPDB01"), 0, 0, 0, 0)
-	if _, err := sys.LoadFrom(bytes.NewReader(bare)); err == nil {
+	if _, err := sys.loadFrom(bytes.NewReader(bare)); err == nil {
 		t.Error("bare VMAPDB01 stream should fail")
 	}
 	// Truncated stream after a valid header.
 	var buf bytes.Buffer
-	good := newPersistSystem(t)
-	good.Store().Put(fabricate(t, 0, 50))
-	if err := good.SaveTo(&buf); err != nil {
+	if err := newPersistSystem(t).saveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := sys.LoadFrom(bytes.NewReader(data[:len(data)-10])); err == nil {
+	if _, err := sys.loadFrom(bytes.NewReader(data[:len(data)-10])); err == nil {
 		t.Error("truncated stream should fail")
 	}
 }
 
 func TestLoadFromSkipsDuplicates(t *testing.T) {
 	sys := newPersistSystem(t)
-	sys.Store().Put(fabricate(t, 0, 60))
-	var buf bytes.Buffer
-	if err := sys.SaveTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Loading into the same warm system is a no-op, not an error.
-	n, err := sys.LoadFrom(bytes.NewReader(buf.Bytes()))
+	p := fabricate(t, 0, 60)
+	sys.Store().Put(p)
+	// Loading a legacy body holding the stored VP into the same warm
+	// system is a no-op, not an error.
+	n, err := sys.loadFrom(bytes.NewReader(systemStream(t, sys, []*vp.Profile{p})))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,32 +15,33 @@ import (
 	"viewmap/internal/vp"
 )
 
-// Minute-window retention. A continuously running deployment ingests a
-// new minute shard every minute and would otherwise hold every one of
-// them — slab, incremental graph, viewmap cache — in memory forever.
-// With retention enabled, shards older than the configured horizon are
-// spilled to per-minute segment files and evicted: the profiles, the
-// minute's linked graph, and its caches all leave memory, and only the
-// identifier index keeps a 16-byte marker per evicted VP so duplicate
-// rejection still holds across the whole history. The store also
-// remembers the builder epoch each segment restores (Store.segments),
-// so a repeat investigation of an unchanged evicted minute is answered
-// from the verdict cache's report without touching the file. Any other
-// lookup against an evicted minute — the first investigation of a
-// (site, minute) at the segment's epoch, an uncached site, a per-VP
-// report, an evidence lookup, a late upload — transparently reloads
-// the segment. The segment carries the minute's viewlinks next to its
-// profiles, so a reload restores the graph the evicting shard held
-// instead of relinking every pair — the identical viewmap and epoch
-// (the evict-then-reload equality invariant, pinned by
-// TestEvictReloadEquality) — and reloaded cold minutes live in a small
-// LRU-bounded resident set of their own. A segment that can no longer
-// be read, decoded or restored fails the reload with ErrDurability.
+// Minute segments and retention. A segment file is the one form in
+// which a minute is written: Checkpoint spills every changed minute
+// (spillResident) and an eviction a still-dirty one, each fsynced
+// before the snapshot or the drop that relies on it.
 //
-// Segment files are written with fsync before the in-memory shard is
-// dropped, so an evicted minute is always durable on its own: the
-// snapshot + WAL pair covers the resident window, the segment files
-// cover everything older.
+// A continuously running deployment ingests a new minute shard every
+// minute and would otherwise hold every one of them — slab,
+// incremental graph, viewmap cache — in memory forever. With retention
+// enabled, shards older than the configured horizon are evicted: the
+// profiles, the minute's linked graph, and its caches all leave
+// memory, and only the identifier index keeps a 16-byte marker per
+// evicted VP so duplicate rejection still holds across the whole
+// history. The store also remembers the builder epoch each segment
+// restores (Store.segments), so a repeat investigation of an unchanged
+// evicted minute is answered from the verdict cache's report without
+// touching the file. Any other lookup against a minute that is only in
+// its segment — the first investigation of a (site, minute) at the
+// segment's epoch, an uncached site, a per-VP report, an evidence
+// lookup, a late upload, the first touch after a restart —
+// transparently reloads the segment. The segment carries the minute's
+// viewlinks next to its profiles, so a reload restores the graph the
+// spilling shard held instead of relinking every pair — the identical
+// viewmap and epoch (the evict-then-reload equality invariant, pinned
+// by TestEvictReloadEquality) — and reloaded cold minutes live in a
+// small LRU-bounded resident set of their own. A segment that can no
+// longer be read, decoded or restored fails the reload with
+// ErrDurability.
 //
 // A segment file is (docs/persistence-format.md §Segments):
 //
@@ -157,11 +158,11 @@ func (s *Store) trimCold() (int, error) {
 	return evicted, nil
 }
 
-// evictShard spills minute m's shard to its segment file and drops it
-// from memory. It holds the shard's link lock from the segment cut to
-// the drop, so no burst commits in between and the segment always
-// matches the dropped state. The whole write-and-drop runs under
-// spillMu: the retention sweep and a reload's trimCold can both pick
+// evictShard spills minute m's shard (spillShard) and drops it from
+// memory. It holds the shard's link lock from the segment cut to the
+// drop, so no burst commits in between and the segment always matches
+// the dropped state. The whole spill-and-drop runs under spillMu: the
+// retention sweep, a reload's trimCold and a checkpoint can all pick
 // the same dirty minute, and two spills through its one temp path would
 // tear the segment. spillMu also keeps the shard map entry for m in
 // place, since only an eviction removes one.
@@ -175,12 +176,8 @@ func (s *Store) evictShard(m int64) error {
 	}
 	sh.linkMu.Lock()
 	defer sh.linkMu.Unlock()
-	// Every writer of the slab, the graph and dirty holds the link lock,
-	// so they hold still here without the shard lock.
-	if sh.dirty {
-		if err := s.writeSegment(m, sh.profiles, sh.builder.LowerLinks()); err != nil {
-			return err
-		}
+	if err := s.spillShard(sh); err != nil {
+		return err
 	}
 
 	s.mu.Lock()
@@ -193,18 +190,58 @@ func (s *Store) evictShard(m int64) error {
 	// link lock held here, so the channel closes exactly once.
 	close(sh.changed)
 	delete(s.shards, m)
-	if len(sh.profiles) > 0 {
-		// An empty shard (created for a burst that has not won the link
-		// lock yet) has no segment file; registering one would poison
-		// later reloads of the minute.
-		s.segments[m] = sh.builder.Epoch()
-	}
 	sh.mu.Unlock()
 	s.mu.Unlock()
 	// Eviction runs on the background sweep or a reload's trim, never an
 	// ingest path, so the timing is unconditional (spill + drop).
 	s.evictions.Add(1)
 	s.evictionNS.Add(int64(time.Since(start)))
+	return nil
+}
+
+// spillShard writes sh to its minute's segment file if ingest changed
+// it since its last spill, and records the epoch the segment restores.
+// The caller holds spillMu and sh's link lock, which every writer of
+// the slab, the graph and dirty holds.
+func (s *Store) spillShard(sh *minuteShard) error {
+	// An evicted shard was spilled already, and a clean one matches its
+	// segment. An empty one (created for a burst not yet linked) has no
+	// segment file; registering one would poison later reloads of the
+	// minute.
+	if sh.evicted || !sh.dirty || len(sh.profiles) == 0 {
+		return nil
+	}
+	m := sh.builder.Minute()
+	if err := s.writeSegment(m, sh.profiles, sh.builder.LowerLinks()); err != nil {
+		return err
+	}
+	sh.dirty = false
+	s.mu.Lock()
+	s.segments[m] = sh.builder.Epoch()
+	s.mu.Unlock()
+	return nil
+}
+
+// spillResident spills every resident shard without evicting it, so
+// each segment holds every record its minute had committed when the
+// call began. Ingest into a minute waits while its segment is written.
+func (s *Store) spillResident() error {
+	s.mu.RLock()
+	shards := make([]*minuteShard, 0, len(s.shards))
+	for _, sh := range s.shards {
+		shards = append(shards, sh)
+	}
+	s.mu.RUnlock()
+	for _, sh := range shards {
+		s.spillMu.Lock()
+		sh.linkMu.Lock()
+		err := s.spillShard(sh)
+		sh.linkMu.Unlock()
+		s.spillMu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -228,7 +265,7 @@ func (s *Store) writeSegment(m int64, profiles []*vp.Profile, links [][]int) err
 	binary.BigEndian.PutUint64(head[8:16], uint64(m))
 	binary.BigEndian.PutUint32(head[16:], uint32(len(profiles)))
 	sum := crcWriter{w: f}
-	_, err = s.spill.write(&sum, head[:], profiles)
+	err = s.spill.write(&sum, head[:], profiles)
 	if err == nil {
 		// The link section and the checksum leave in one more write,
 		// built in the spill writer's buffer.
@@ -379,11 +416,11 @@ func decodeSegment(m int64, data []byte) ([]*vp.Profile, [][]int, error) {
 	return profiles, links, nil
 }
 
-// reloadSegment brings an evicted minute back into memory: the segment
-// is read, the minute graph restored from its saved viewlinks with the
-// profiles in their original ingest order (reproducing the identical
-// graph without relinking), the identifier index restored to live
-// pointers, and the restored shard installed as a cold resident.
+// reloadSegment brings a minute back into memory from its segment: the
+// segment is read, the minute graph restored from its saved viewlinks
+// with the profiles in their original ingest order (reproducing the
+// identical graph without relinking), the identifier index restored to
+// live pointers, and the restored shard installed.
 // Single-flight: concurrent cold queries for any evicted minute
 // serialize here, and the winner's shard is reused. A segment that
 // cannot be read, decoded or restored fails with ErrDurability.
@@ -405,7 +442,10 @@ func (s *Store) reloadSegment(m int64) (*minuteShard, error) {
 		return nil, reloadFailed(m, err)
 	}
 	sh := s.newShard(m)
-	sh.cold = true
+	// Only a minute at or behind the horizon joins the cold LRU; any
+	// other, such as one a restart left in its segment, is hot, so the
+	// LRU never trims the minute ingest is writing.
+	sh.cold = s.RetentionEnabled() && m <= s.newestMinute.Load()-int64(s.cfg.retentionMinutes)
 	if err := sh.restore(profiles, links); err != nil {
 		return nil, reloadFailed(m, fmt.Errorf("restoring the graph: %w", err))
 	}
@@ -480,13 +520,13 @@ func (sh *minuteShard) restore(profiles []*vp.Profile, links [][]int) error {
 }
 
 // adoptSegments registers every segment file on disk with the store:
-// evicted minutes become queryable again and their identifiers are
+// the minutes become queryable again and their identifiers are
 // re-claimed in the index (so WAL replay rejects their records as
 // duplicates) without keeping the profiles resident. Recovery calls
-// this before replaying the WAL. Minutes already resident (a snapshot
-// can predate an eviction) keep their in-memory state; the stale
-// segment is simply re-registered and will be rewritten on the next
-// eviction.
+// this before replaying the WAL. A minute already resident was loaded
+// from a legacy snapshot's store section, which can predate the
+// segment; it keeps its in-memory state, dirty, and the next spill
+// rewrites the segment.
 func (s *Store) adoptSegments() (minutes int, err error) {
 	if s.cfg.segmentDir == "" {
 		return 0, nil
@@ -506,7 +546,7 @@ func (s *Store) adoptSegments() (minutes int, err error) {
 			continue
 		}
 		if s.shard(m) != nil {
-			// The resident shard's eviction rewrites the segment and
+			// The resident shard's next spill rewrites the segment and
 			// records its epoch.
 			s.mu.Lock()
 			s.segments[m] = 0
@@ -550,7 +590,7 @@ type RetentionStats struct {
 	// ColdResident counts the resident shards that were reloaded from
 	// segment files (bounded by the cold LRU cap).
 	ColdResident int `json:"coldResident"`
-	// EvictedMinutes counts minutes that live only in segment files.
+	// EvictedMinutes counts minutes that are only in segment files.
 	EvictedMinutes int `json:"evictedMinutes"`
 	// Evictions counts shard evictions this process lifetime;
 	// EvictionTotalMS is their cumulative wall time (spill + drop) in

@@ -318,3 +318,49 @@ func BenchmarkDeliverDecode(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkOpenDurable prices a restart. The data directory holds 8
+// minutes of 300 VPs written through Close, and a WAL tail of three
+// batches into the newest minute, uploaded after a Checkpoint and left
+// behind by Abort. open times OpenDurable (snapshot, segments, replay
+// of the tail) then Abort; open+touch also reads every minute, so the
+// restores deferred to a minute's first touch are paid too.
+func BenchmarkOpenDurable(b *testing.B) {
+	const minutes = 8
+	dir := b.TempDir()
+	sys := openDurable(b, dir, 0)
+	for m := int64(0); m < minutes; m++ {
+		uploadMinute(b, m, 300, 800+m, sys)
+	}
+	if err := sys.Close(); err != nil {
+		b.Fatal(err)
+	}
+	sys = openDurable(b, dir, 0)
+	if err := sys.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	for i := int64(0); i < 3; i++ {
+		uploadMinute(b, minutes-1, 20, 900+i, sys)
+	}
+	sys.Abort()
+	for _, touch := range []bool{false, true} {
+		name := "open"
+		if touch {
+			name = "open+touch"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sys := openDurable(b, dir, 0)
+				if touch {
+					for m := int64(0); m < minutes; m++ {
+						if len(sys.Store().Minute(m)) == 0 {
+							b.Fatalf("minute %d is empty after the restart", m)
+						}
+					}
+				}
+				sys.Abort()
+			}
+		})
+	}
+}

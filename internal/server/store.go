@@ -38,18 +38,17 @@ type Store struct {
 
 	// mu guards the shard map. The lock order is reloadMu → spillMu →
 	// minuteShard.linkMu → mu → minuteShard.mu. mu may be held while
-	// acquiring shard mutexes (the persistence snapshot does, to freeze
-	// one atomic cut, and eviction does, to drop a shard), never the
-	// reverse; ingest holds mu just long enough for a map lookup/insert,
-	// so one minute's slow extraction never stalls traffic to other
-	// minutes.
+	// acquiring shard mutexes (eviction does, to drop a shard), never
+	// the reverse; ingest holds mu just long enough for a map
+	// lookup/insert, so one minute's slow extraction never stalls
+	// traffic to other minutes.
 	mu     sync.RWMutex
 	shards map[int64]*minuteShard
 	// segments marks minutes with an on-disk segment file (see
-	// retention.go); a minute in segments but not in shards is evicted.
-	// Each value is the builder epoch of the graph the segment restores
-	// (its node count), recorded when the segment is written or adopted,
-	// so an evicted minute's epoch is known without a reload.
+	// retention.go); a minute in segments but not in shards is only on
+	// disk. Each value is the builder epoch of the graph the segment
+	// restores (its node count), recorded when the segment is spilled or
+	// adopted, so such a minute's epoch is known without a reload.
 	segments map[int64]uint64
 
 	// reloadMu single-flights segment reloads: cold queries are rare
@@ -58,10 +57,10 @@ type Store struct {
 	// that work.
 	reloadMu sync.Mutex
 
-	// spillMu serializes segment spills (evictShard holds it from the
-	// segment write through the shard drop) and guards spill, the
-	// record writer every segment file reuses. Taken before any link
-	// lock, mu and any shard mutex, never while holding them.
+	// spillMu serializes segment spills (eviction holds it through the
+	// shard drop) and guards spill, the record writer every segment file
+	// reuses. Taken before any link lock, mu and any shard mutex, never
+	// while holding them.
 	spillMu sync.Mutex
 	spill   recordWriter
 
@@ -76,9 +75,9 @@ type Store struct {
 	// drop out before any shard is created (a replayed identifier
 	// carries an attacker-chosen minute and must not allocate
 	// anything). The claim makes the profile Get-visible a moment
-	// before its slab insertion completes; a persistence snapshot cut
-	// in that window omits the in-flight profile, which is
-	// indistinguishable from the upload arriving just after the cut.
+	// before its slab insertion completes; a segment spill in that
+	// window omits the in-flight profile, whose WAL record is above the
+	// checkpoint's barrier and replays after a crash.
 	ids sync.Map
 
 	// closed is set by Close; ingest and segment reloads observe it and
@@ -143,9 +142,10 @@ type StoreConfig struct {
 // incrementally maintained viewmap.
 type minuteShard struct {
 	// linkMu serializes every writer of the minute's builder: a burst
-	// holds it from Stage through CommitStaged, and eviction holds it
-	// from the segment cut to the shard drop. Readers never take it, so
-	// an investigation never waits for a Stage.
+	// holds it from Stage through CommitStaged, a checkpoint's spill
+	// while it writes the segment, and eviction from the segment cut to
+	// the shard drop. Readers never take it, so an investigation never
+	// waits for a Stage.
 	linkMu sync.Mutex
 	// mu guards the reader-visible state below; commits take it after
 	// linkMu, for the graph splice only.
@@ -173,12 +173,12 @@ type minuteShard struct {
 	// they are in the database — construction decides what to link —
 	// but can never join this minute's viewmap.
 	quarantined int
-	// cold marks a shard reloaded from its segment file by a query
-	// against an evicted minute; cold shards live in the LRU-bounded
-	// cold resident set rather than the retention horizon.
+	// cold marks a shard reloaded from its segment at or behind the
+	// retention horizon; cold shards live in the LRU-bounded cold
+	// resident set rather than the retention horizon.
 	cold bool
-	// dirty marks a shard with ingest not yet reflected in its segment
-	// file; eviction rewrites the segment only when set.
+	// dirty marks a shard with ingest not yet in its segment file; a
+	// spill writes the segment only when set, and clears it.
 	dirty bool
 	// evicted marks a shard dropped from the shard map; an ingest that
 	// raced the eviction re-resolves its shard instead of writing into
@@ -480,34 +480,6 @@ func (s *Store) Minutes() []int64 {
 		out = append(out, m)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// snapshot returns every stored profile in (minute, ingest) order as
-// one atomic cut: it freezes the shard map and then holds every
-// shard's lock simultaneously while copying, so a save racing ongoing
-// ingest can never tear a multi-minute batch (observe a later
-// insertion while missing an earlier one). Uploads whose identifier
-// claim is in flight but whose insertion has not started are omitted,
-// exactly as if they arrived just after the cut (see ids).
-func (s *Store) snapshot() []*vp.Profile {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	minutes := make([]int64, 0, len(s.shards))
-	for m := range s.shards {
-		minutes = append(minutes, m)
-	}
-	sort.Slice(minutes, func(i, j int) bool { return minutes[i] < minutes[j] })
-	for _, m := range minutes {
-		s.shards[m].mu.Lock()
-	}
-	var out []*vp.Profile
-	for _, m := range minutes {
-		out = append(out, s.shards[m].profiles...)
-	}
-	for _, m := range minutes {
-		s.shards[m].mu.Unlock()
-	}
 	return out
 }
 

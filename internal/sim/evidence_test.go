@@ -1,10 +1,10 @@
 package sim
 
 import (
-	"bytes"
 	"crypto/rand"
 	"errors"
 	"math/big"
+	"path/filepath"
 	"testing"
 
 	"viewmap/internal/anon"
@@ -21,10 +21,21 @@ import (
 // offer, and the civilian delivers its video.
 func deliveredEvidenceSystem(t *testing.T, units int) (*server.System, *anon.Sessions, convoyOwner) {
 	t.Helper()
-	sys, err := server.NewSystem(server.Config{AuthorityToken: "edge", BankBits: 1024})
+	sys, err := server.NewSystem(evidenceEdgeConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sessions, owner := deliverEvidence(t, sys, units)
+	return sys, sessions, owner
+}
+
+// evidenceEdgeConfig is the system configuration of the evidence edge
+// tests.
+var evidenceEdgeConfig = server.Config{AuthorityToken: "edge", BankBits: 1024}
+
+// deliverEvidence drives sys through deliveredEvidenceSystem's pipeline.
+func deliverEvidence(t *testing.T, sys *server.System, units int) (*anon.Sessions, convoyOwner) {
+	t.Helper()
 	owners, err := testConvoyOwners(1, 31,
 		func(p *vp.Profile) error { return sys.UploadTrustedVP("edge", p.Marshal()) },
 		func(p *vp.Profile) error { return sys.UploadVP(p.Marshal()) })
@@ -43,7 +54,7 @@ func deliveredEvidenceSystem(t *testing.T, units int) (*server.System, *anon.Ses
 	if got, err := sys.Evidence().Deliver(sid, owner.id, owner.q, owner.chunks); err != nil || got != units {
 		t.Fatalf("honest delivery: units %d, err %v", got, err)
 	}
-	return sys, sessions, owner
+	return sessions, owner
 }
 
 // TestEvidenceDeliverClosedSolicitation covers the delivery-after-
@@ -67,15 +78,25 @@ func TestEvidenceDeliverClosedSolicitation(t *testing.T) {
 }
 
 // TestEvidencePayoutAfterRestart covers the restart edge: an owner
-// whose delivery was accepted before a snapshot must still be able to
-// withdraw the full entitlement from the restored system, the minted
-// cash must redeem there, and units spent before the restart must
-// stay spent.
+// whose delivery was accepted before a durable system closed must
+// still be able to withdraw the full entitlement once it reopens from
+// its data directory, the minted cash must redeem there, and units
+// spent before the restart must stay spent.
 func TestEvidencePayoutAfterRestart(t *testing.T) {
 	const units = 2
-	sys, sessions, owner := deliveredEvidenceSystem(t, units)
+	dir := t.TempDir()
+	open := func() *server.System {
+		t.Helper()
+		sys, err := server.OpenDurable(evidenceEdgeConfig, server.DurabilityConfig{WALPath: filepath.Join(dir, "ingest.wal")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	sys := open()
+	sessions, owner := deliverEvidence(t, sys, units)
 
-	// Spend one unit before the snapshot; one stays entitled.
+	// Spend one unit before the restart; one stays entitled.
 	preCash, err := withdrawEvidence(sys, sessions, owner, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -84,17 +105,11 @@ func TestEvidencePayoutAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var state bytes.Buffer
-	if err := sys.SaveTo(&state); err != nil {
+	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := server.NewSystem(server.Config{AuthorityToken: "edge", BankBits: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := restored.LoadFrom(bytes.NewReader(state.Bytes())); err != nil {
-		t.Fatal(err)
-	}
+	restored := open()
+	defer restored.Close()
 
 	// The remaining unit withdraws and redeems on the restored system
 	// (the restored bank carries the pre-restart keypair, so the new

@@ -144,14 +144,6 @@ func (p *Profile) StartUnix() int64 {
 // viewmaps are built per minute.
 func (p *Profile) Minute() int64 { return p.StartUnix() / vd.SegmentSeconds }
 
-// LocationAt returns the trajectory position at second i (1..60).
-func (p *Profile) LocationAt(i int) (geo.Point, error) {
-	if i < 1 || i > len(p.VDs) {
-		return geo.Point{}, fmt.Errorf("vp: second %d outside profile", i)
-	}
-	return p.VDs[i-1].L, nil
-}
-
 // InitialLocation returns L1, the trajectory start used for guard
 // routes.
 func (p *Profile) InitialLocation() geo.Point {
