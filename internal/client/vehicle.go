@@ -248,8 +248,5 @@ func (v *Vehicle) Secret(id vd.VPID) (vd.Secret, bool) {
 	return q, ok
 }
 
-// ProfileCount returns the number of actual VPs the vehicle retains.
-func (v *Vehicle) ProfileCount() int { return len(v.profiles) }
-
 // StoredSegments returns the number of videos on the SD ring.
 func (v *Vehicle) StoredSegments() int { return v.storage.Len() }

@@ -86,8 +86,8 @@ func TestEndMinuteProducesProfileAndVideo(t *testing.T) {
 	if v.StoredSegments() != 1 {
 		t.Errorf("StoredSegments = %d, want 1", v.StoredSegments())
 	}
-	if v.ProfileCount() != 1 {
-		t.Errorf("ProfileCount = %d, want 1", v.ProfileCount())
+	if len(v.profiles) != 1 {
+		t.Errorf("retained profiles = %d, want 1", len(v.profiles))
 	}
 	if _, ok := v.Secret(actual.ID()); !ok {
 		t.Error("vehicle should retain the segment secret")

@@ -64,7 +64,7 @@ type SiteView struct {
 // siteViewGen numbers full extractions process-wide. A SiteView's
 // generation changes exactly when its node-id space is re-derived from
 // scratch, so two Refresh results with equal generations are guaranteed
-// to share an id-prefix: a score vector converged against the earlier
+// to share an id-prefix: a score vector computed against the earlier
 // one is a valid warm start for the later one.
 var siteViewGen atomic.Uint64
 

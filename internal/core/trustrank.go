@@ -125,7 +125,8 @@ func (vm *Viewmap) step(d, p, next []float64, damping float64) float64 {
 type Verdict struct {
 	// Legitimate lists the node ids marked LEGITIMATE by Algorithm 1.
 	Legitimate []int
-	// Scores are the converged trust scores for all viewmap nodes.
+	// Scores are the trust scores for all viewmap nodes: VerifySite's
+	// converged vector, or the vector VerifySiteFrom stopped at.
 	Scores []float64
 	// Anchor is the highest-scored in-site node that seeded the
 	// legitimate set (-1 when the site was empty).
@@ -200,58 +201,117 @@ func (vm *Viewmap) verifySiteScored(siteNodes []int, cfg TrustRankConfig) (*Verd
 
 // VerifyStats reports how a verification converged.
 type VerifyStats struct {
-	// Iterations is the number of power-iteration steps executed.
+	// Iterations is the number of power-iteration steps executed, over
+	// both starts when a warm start fell back; zero when the in-site
+	// subgraph is connected.
 	Iterations int
-	// Warm reports whether the verdict came from the certified
-	// warm-start path; false means the cold VerifySite path ran (either
-	// by request or because the warm run could not certify its verdict).
+	// Warm reports whether the verdict came from a run that started
+	// from the previous score vector and certified; false means the run
+	// started from the seed vector d, either because no usable vector
+	// was given or because the warm start could not certify.
 	Warm bool
 }
 
-// VerifySiteFrom is VerifySite warm-started from a previously converged
-// score vector. The verdict is always identical to VerifySite's on the
-// same viewmap: Algorithm 1 only consumes the scores through the
-// highest-scored in-site node, and the legitimate set it yields is that
-// node's connected component of the in-site induced subgraph. The warm
-// iteration therefore stops as soon as the component ordering is
-// provably settled: with L1 residual D between consecutive iterates,
-// the distance to the fixed point is at most c*D for c = delta/(1-delta)
-// (geometric-series tail of the delta-contraction), and the cold path
-// stops with residual below epsilon, i.e. within c*epsilon of the fixed
-// point. Once the gap between the best and second-best component maxima
-// exceeds c*(D+epsilon), both the fixed point's and the cold vector's
-// in-site argmax provably land in the warm leader's component, so the
-// legitimate set — and hence the verdict — matches the cold one
-// bit-for-bit. If the iteration instead reaches epsilon-convergence or
-// the iteration cap without certifying (ambiguous components, exact
-// ties), the warm work is discarded and the exact cold path runs.
-// Anchor may name a different member of the same component than the
-// cold run when scores inside it are still settling; Legitimate and
-// Scores' fixed point are unaffected. A nil prev, a prev longer than
-// the viewmap, or an empty site always takes the cold path.
+// VerifySiteFrom is VerifySite stopped at the verdict. Its Legitimate
+// set is always VerifySite's on the same viewmap: Algorithm 1 only
+// consumes the scores through the highest-scored in-site node, and the
+// legitimate set it yields is that node's connected component of the
+// in-site induced subgraph. A site whose in-site subgraph is one
+// component is therefore verified before any power step.
+//
+// Otherwise one loop iterates from prev when it is usable (a warm
+// start) and from the seed vector d when it is not, and stops as soon
+// as the component ordering is provably settled: with L1 residual D
+// between consecutive iterates, the distance to the fixed point is at
+// most c*D for c = delta/(1-delta) (geometric-series tail of the
+// delta-contraction), and VerifySite stops with residual below
+// epsilon, i.e. within c*epsilon of the fixed point (at the default
+// damping it gets there within 100 steps, far inside
+// trustMaxIterations). Once the gap between the best and second-best
+// component maxima exceeds c*(D+epsilon), VerifySite's in-site argmax
+// provably lands in the current leader's component. A warm start that
+// reaches epsilon or the iteration cap without certifying (ambiguous
+// components, exact ties) restarts the loop from d with the same
+// component labels. A start from d steps through exactly VerifySite's
+// iterates and stops no later than it does, so when it cannot certify
+// either, its vector, anchor and legitimate set are VerifySite's bit
+// for bit.
+//
+// Scores is the vector the loop stopped at, and Anchor its
+// highest-scored in-site node; after an early stop Anchor may name a
+// different member of the legitimate component than VerifySite's. A nil
+// prev or a prev longer than the viewmap starts from d; an empty site
+// runs VerifySite.
 func (vm *Viewmap) VerifySiteFrom(siteNodes []int, prev []float64, cfg TrustRankConfig) (*Verdict, VerifyStats, error) {
-	c := cfg.withDefaults()
-	n := len(vm.Profiles)
-	if prev == nil || len(prev) > n || len(siteNodes) == 0 {
+	if len(siteNodes) == 0 {
 		v, iters, err := vm.verifySiteScored(siteNodes, cfg)
 		return v, VerifyStats{Iterations: iters}, err
 	}
-	d, p, err := vm.trustSeed(c)
+	cfg = cfg.withDefaults()
+	d, p, err := vm.trustSeed(cfg)
 	if err != nil {
 		return nil, VerifyStats{}, err
 	}
-	copy(p, prev)
-	// Connected components of the in-site induced subgraph: the
-	// legitimate set is always exactly one of these.
+	n := len(vm.Profiles)
+	warm := prev != nil && len(prev) <= n
+	if warm {
+		copy(p, prev)
+	}
+	comp, ncomp := vm.siteComponents(siteNodes)
+	iters := 0
+	if ncomp > 1 {
+		coef := cfg.Damping / (1 - cfg.Damping)
+		compMax := make([]float64, ncomp)
+		next := make([]float64, n)
+		for {
+			certified := false
+			for k := 0; k < trustMaxIterations; k++ {
+				iters++
+				delta := vm.step(d, p, next, cfg.Damping)
+				p, next = next, p
+				certified = leadGap(p, siteNodes, comp, compMax) > coef*(delta+trustEpsilon)
+				if certified || delta < trustEpsilon {
+					break
+				}
+			}
+			if certified || !warm {
+				break
+			}
+			warm = false
+			copy(p, d)
+		}
+	}
+	// Anchor: highest-scored in-site node, ties toward the first in
+	// siteNodes (strict > keeps the first maximum), as in VerifySite.
+	anchor := siteNodes[0]
+	for _, i := range siteNodes[1:] {
+		if p[i] > p[anchor] {
+			anchor = i
+		}
+	}
+	verdict := &Verdict{Scores: p, Anchor: anchor, Legitimate: make([]int, 0, len(siteNodes))}
+	for _, s := range siteNodes {
+		if comp[s] == comp[anchor] {
+			verdict.Legitimate = append(verdict.Legitimate, s)
+		}
+	}
+	sort.Ints(verdict.Legitimate)
+	return verdict, VerifyStats{Iterations: iters, Warm: warm}, nil
+}
+
+// siteComponents labels the connected components of the in-site
+// induced subgraph: comp[i] is in [0, ncomp) for an in-site node i and
+// -1 for any other. The legitimate set is always exactly one of them.
+func (vm *Viewmap) siteComponents(siteNodes []int) (comp []int, ncomp int) {
+	n := len(vm.Profiles)
 	inSite := make([]bool, n)
 	for _, i := range siteNodes {
 		inSite[i] = true
 	}
-	comp := make([]int, n)
+	comp = make([]int, n)
 	for i := range comp {
 		comp[i] = -1
 	}
-	ncomp := 0
 	var queue []int
 	for _, s := range siteNodes {
 		if comp[s] >= 0 {
@@ -270,64 +330,30 @@ func (vm *Viewmap) VerifySiteFrom(siteNodes []int, prev []float64, cfg TrustRank
 		}
 		ncomp++
 	}
-	coef := c.Damping / (1 - c.Damping)
-	compMax := make([]float64, ncomp)
-	next := make([]float64, n)
-	iters := 0
-	certified := false
-	for iters < trustMaxIterations {
-		iters++
-		delta := vm.step(d, p, next, c.Damping)
-		p, next = next, p
-		if ncomp == 1 {
-			// A single component is the verdict regardless of scores.
-			certified = true
-			break
-		}
-		best1, best2 := -1.0, -1.0
-		for i := range compMax {
-			compMax[i] = -1
-		}
-		for _, s := range siteNodes {
-			if v := p[s]; v > compMax[comp[s]] {
-				compMax[comp[s]] = v
-			}
-		}
-		for _, v := range compMax {
-			if v > best1 {
-				best1, best2 = v, best1
-			} else if v > best2 {
-				best2 = v
-			}
-		}
-		if best1-best2 > coef*(delta+trustEpsilon) {
-			certified = true
-			break
-		}
-		if delta < trustEpsilon {
-			break
-		}
+	return comp, ncomp
+}
+
+// leadGap returns the gap between the best and second-best component
+// maxima of scores over the in-site nodes, labelled by comp into
+// len(compMax) components; compMax is scratch.
+func leadGap(scores []float64, siteNodes, comp []int, compMax []float64) float64 {
+	for i := range compMax {
+		compMax[i] = -1
 	}
-	if !certified {
-		v, coldIters, err := vm.verifySiteScored(siteNodes, cfg)
-		return v, VerifyStats{Iterations: iters + coldIters}, err
-	}
-	// Anchor: highest-scored in-site node, ties toward the lower id
-	// (siteNodes ascends; strict > keeps the first maximum).
-	anchor := siteNodes[0]
-	for _, i := range siteNodes[1:] {
-		if p[i] > p[anchor] {
-			anchor = i
-		}
-	}
-	verdict := &Verdict{Scores: p, Anchor: anchor}
 	for _, s := range siteNodes {
-		if comp[s] == comp[anchor] {
-			verdict.Legitimate = append(verdict.Legitimate, s)
+		if v := scores[s]; v > compMax[comp[s]] {
+			compMax[comp[s]] = v
 		}
 	}
-	sort.Ints(verdict.Legitimate)
-	return verdict, VerifyStats{Iterations: iters, Warm: true}, nil
+	best1, best2 := -1.0, -1.0
+	for _, v := range compMax {
+		if v > best1 {
+			best1, best2 = v, best1
+		} else if v > best2 {
+			best2 = v
+		}
+	}
+	return best1 - best2
 }
 
 // SumScores returns the total trust score over the given node set,

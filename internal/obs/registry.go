@@ -63,8 +63,8 @@ const (
 	// histogram (label: class), sampled at every arrival.
 	MetricAdmissionQueueDepth = "viewmap_admission_queue_depth"
 	// MetricTrustRankIterations is the power-iteration count histogram
-	// per verification (label: mode), split by whether the run warm-
-	// started from a cached score vector or recomputed cold.
+	// per verification (label: mode), split by whether the run started
+	// from a cached score vector and certified, or from the seed vector.
 	MetricTrustRankIterations = "viewmap_trustrank_iterations"
 )
 

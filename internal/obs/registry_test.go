@@ -108,7 +108,7 @@ func TestTraceSpansAndContext(t *testing.T) {
 	tr.Observe(StageCommit, 2*time.Millisecond)
 	tr.Observe(StageDecode, time.Millisecond)
 	tr.Observe(StageCommit, time.Millisecond)
-	if ns := tr.SpanNS(StageCommit); ns != int64(3*time.Millisecond) {
+	if ns := tr.spans[StageCommit].Load(); ns != int64(3*time.Millisecond) {
 		t.Fatalf("commit span %d", ns)
 	}
 	spans := tr.Spans()

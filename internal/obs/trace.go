@@ -57,14 +57,6 @@ func (t *Trace) Observe(s Stage, d time.Duration) {
 	t.spans[s].Add(int64(d))
 }
 
-// SpanNS returns the accumulated nanoseconds of one stage.
-func (t *Trace) SpanNS(s Stage) int64 {
-	if t == nil || s < 0 || s >= NumStages {
-		return 0
-	}
-	return t.spans[s].Load()
-}
-
 // Spans renders the non-zero stage accumulators as space-separated
 // key=value pairs in pipeline order — the payload of the slow-request
 // log line.

@@ -322,9 +322,6 @@ func BuildGrid(cfg GridConfig) (*City, error) {
 	return &City{Net: net, Obstacles: obs, Bounds: bounds, nodeAt: nodeAt}, nil
 }
 
-// NodeAt returns the intersection node at grid coordinate (col, row).
-func (c *City) NodeAt(col, row int) NodeID { return c.nodeAt[col][row] }
-
 // Cols returns the number of north-south streets.
 func (c *City) Cols() int { return len(c.nodeAt) }
 

@@ -75,8 +75,8 @@ func TestBuildingsBlockCrossBlockSight(t *testing.T) {
 
 func TestShortestPathStraightLine(t *testing.T) {
 	c := mustGrid(t, GridConfig{Cols: 4, Rows: 4, Spacing: 100})
-	a := c.NodeAt(0, 0)
-	b := c.NodeAt(3, 0)
+	a := c.nodeAt[0][0]
+	b := c.nodeAt[3][0]
 	path, err := c.Net.ShortestPath(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +91,8 @@ func TestShortestPathStraightLine(t *testing.T) {
 
 func TestShortestPathManhattanDistance(t *testing.T) {
 	c := mustGrid(t, GridConfig{Cols: 6, Rows: 6, Spacing: 150})
-	a := c.NodeAt(0, 0)
-	b := c.NodeAt(5, 5)
+	a := c.nodeAt[0][0]
+	b := c.nodeAt[5][5]
 	path, err := c.Net.ShortestPath(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestShortestPathManhattanDistance(t *testing.T) {
 
 func TestShortestPathSameNode(t *testing.T) {
 	c := mustGrid(t, GridConfig{Cols: 3, Rows: 3, Spacing: 100})
-	path, err := c.Net.ShortestPath(c.NodeAt(1, 1), c.NodeAt(1, 1))
+	path, err := c.Net.ShortestPath(c.nodeAt[1][1], c.nodeAt[1][1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +244,8 @@ func TestSamplePerSecondJitter(t *testing.T) {
 func TestShortestPathBoundsProperty(t *testing.T) {
 	c := mustGrid(t, GridConfig{Cols: 8, Rows: 8, Spacing: 100})
 	f := func(ac, ar, bc, br uint8) bool {
-		a := c.NodeAt(int(ac%8), int(ar%8))
-		b := c.NodeAt(int(bc%8), int(br%8))
+		a := c.nodeAt[int(ac%8)][int(ar%8)]
+		b := c.nodeAt[int(bc%8)][int(br%8)]
 		path, err := c.Net.ShortestPath(a, b)
 		if err != nil {
 			return false
@@ -266,8 +266,8 @@ func TestShortestPathBoundsProperty(t *testing.T) {
 
 func BenchmarkShortestPath(b *testing.B) {
 	c := mustGrid(b, GridConfig{Cols: 40, Rows: 40, Spacing: 200})
-	a := c.NodeAt(0, 0)
-	z := c.NodeAt(39, 39)
+	a := c.nodeAt[0][0]
+	z := c.nodeAt[39][39]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Net.ShortestPath(a, z); err != nil {

@@ -11,8 +11,8 @@ import (
 // Ingest burst linking. Linking a profile — candidate enumeration and
 // Bloom probing — costs far more than splicing it into the graph, and
 // investigations must not wait for it. Producers (Store.commit, the one
-// ingest call behind Put, PutBatch, every upload path, WAL replay and
-// a legacy snapshot's load) group validated, identifier-claimed profiles into
+// ingest call behind Put, every upload path, WAL replay and a legacy
+// snapshot's load) group validated, identifier-claimed profiles into
 // per-minute bursts, and each submitter links its own burst under the
 // minute's link lock (minuteShard.linkMu): builder.Stage for every
 // profile outside the shard lock, then one shard-lock hold to

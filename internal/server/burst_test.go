@@ -170,7 +170,7 @@ func TestBurstConcurrentEquivalence(t *testing.T) {
 	}
 	done := make(chan BatchResult, writers)
 	for _, chunk := range chunks {
-		go func(chunk []*vp.Profile) { done <- conc.PutBatch(chunk) }(chunk)
+		go func(chunk []*vp.Profile) { done <- conc.putBatch(chunk) }(chunk)
 	}
 	stored := 0
 	for range chunks {
@@ -231,8 +231,8 @@ func TestStoreCloseStopsIngest(t *testing.T) {
 	if s.hasID(p.ID()) {
 		t.Error("failed Put left the identifier claimed")
 	}
-	if res := s.PutBatch([]*vp.Profile{fabricate(t, 1, 3)}); res.Rejected != 1 || res.Stored != 0 {
-		t.Errorf("PutBatch after Close = %+v, want 1 rejected", res)
+	if res := s.putBatch([]*vp.Profile{fabricate(t, 1, 3)}); res.Rejected != 1 || res.Stored != 0 {
+		t.Errorf("putBatch after Close = %+v, want 1 rejected", res)
 	}
 	// Reads keep working.
 	if s.Len() != 1 || len(s.Minute(0)) != 1 {

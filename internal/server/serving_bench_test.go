@@ -97,6 +97,35 @@ func BenchmarkInvestigateEvictedCached(b *testing.B) {
 	}
 }
 
+// BenchmarkInvestigateUncachedSite is an investigation that no cache
+// answers, over the resident 300-VP minute of benchMinute: each
+// iteration takes the next of verdictCacheMax+1 fixed sites, more than
+// the verdict cache's entries or the shard's viewmapCacheMax site views
+// hold, so each is a fresh extraction plus a TrustRank verification
+// from the seed vector. It fails unless every iteration ran exactly
+// one verification, and none of them warm.
+func BenchmarkInvestigateUncachedSite(b *testing.B) {
+	sys, site := benchMinute(b, StoreConfig{})
+	defer sys.Close()
+	sites := make([]geo.Rect, verdictCacheMax+1)
+	for i := range sites {
+		off := geo.Pt(float64(i%13-6)*20, float64(i/13-2)*20)
+		sites[i] = geo.RectAround(site.Center().Add(off), 300)
+	}
+	b.ReportAllocs()
+	n := 0
+	for b.Loop() {
+		if _, err := sys.Investigate("tok", sites[n%len(sites)], 0); err != nil {
+			b.Fatal(err)
+		}
+		n++
+	}
+	modes := sys.TrustRankStats()
+	if warm, cold := modes["warm"].Verifications, modes["cold"].Verifications; warm != 0 || cold != uint64(n) {
+		b.Fatalf("%d investigations ran %d cold and %d warm verifications", n, cold, warm)
+	}
+}
+
 // BenchmarkInvestigateRebuildPerRequest is the pre-incremental
 // baseline: core.Build over the minute's stored profiles plus a cold
 // TrustRank on every request.
@@ -125,7 +154,7 @@ func BenchmarkVerifySiteCachedViewmap(b *testing.B) {
 	}
 	core.MarkTrustedNearest(profiles, area.Center())
 	s := NewStore()
-	if res := s.PutBatch(profiles); res.Stored != len(profiles) {
+	if res := s.putBatch(profiles); res.Stored != len(profiles) {
 		b.Fatalf("stored %d of %d", res.Stored, len(profiles))
 	}
 	site := geo.RectAround(area.Center(), 300)

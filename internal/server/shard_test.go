@@ -69,7 +69,7 @@ func TestShardMinuteBoundary(t *testing.T) {
 
 // TestDuplicateDoesNotAllocateShard pins the replay defense: a
 // duplicate identifier re-stamped into a fresh minute (the minute is
-// attacker-chosen) must not grow the shard map, via Put or PutBatch.
+// attacker-chosen) must not grow the shard map, via Put or putBatch.
 func TestDuplicateDoesNotAllocateShard(t *testing.T) {
 	s := NewStore()
 	if err := s.Put(fabricate(t, 0, 5)); err != nil {
@@ -81,8 +81,8 @@ func TestDuplicateDoesNotAllocateShard(t *testing.T) {
 	if err := s.Put(replay); err != ErrDuplicate {
 		t.Fatalf("replayed Put = %v, want ErrDuplicate", err)
 	}
-	if res := s.PutBatch([]*vp.Profile{fabricate(t, 2, 5)}); res.Duplicates != 1 || res.Stored != 0 {
-		t.Fatalf("replayed PutBatch = %+v, want 1 duplicate", res)
+	if res := s.putBatch([]*vp.Profile{fabricate(t, 2, 5)}); res.Duplicates != 1 || res.Stored != 0 {
+		t.Fatalf("replayed putBatch = %+v, want 1 duplicate", res)
 	}
 	if got := s.MinuteCount(); got != 1 {
 		t.Errorf("MinuteCount = %d after replays, want 1 (no empty shards)", got)
@@ -105,7 +105,7 @@ func TestConcurrentDuplicateBatches(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			results[w] = s.PutBatch(batch)
+			results[w] = s.putBatch(batch)
 		}(w)
 	}
 	wg.Wait()
@@ -239,7 +239,7 @@ func TestViewmapForMatchesBuild(t *testing.T) {
 		}
 		batch = append(batch, p)
 	}
-	if res := s.PutBatch(batch); res.Stored != len(batch) {
+	if res := s.putBatch(batch); res.Stored != len(batch) {
 		t.Fatalf("stored %d, want %d", res.Stored, len(batch))
 	}
 	site := geo.NewRect(geo.Pt(-50, -50), geo.Pt(650, 50))
@@ -294,7 +294,7 @@ func TestConcurrentIngestAndInvestigate(t *testing.T) {
 			for i := 0; i < 12; i++ {
 				batch = append(batch, fabricate(t, int64(i%2), int64(1000+w*100+i)))
 			}
-			s.PutBatch(batch)
+			s.putBatch(batch)
 			for i := 0; i < 6; i++ {
 				_ = s.Put(fabricate(t, int64(i%2), int64(5000+w*100+i)))
 			}

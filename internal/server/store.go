@@ -311,28 +311,8 @@ type BatchResult struct {
 	Rejected int
 }
 
-// PutBatch validates and stores a batch of profiles, grouping them by
-// minute so each minute's burst is linked in one piece rather than one
-// submission per profile. Per-profile failures are
-// counted, not fatal: the rest of the batch still lands.
-func (s *Store) PutBatch(ps []*vp.Profile) BatchResult {
-	var res BatchResult
-	valid := make([]*vp.Profile, 0, len(ps))
-	for _, p := range ps {
-		if err := p.Validate(); err != nil {
-			res.Rejected++
-			s.rejectedCount.Add(1)
-			continue
-		}
-		valid = append(valid, p)
-	}
-	put, _ := s.commit(valid, true, nil)
-	put.Rejected += res.Rejected
-	return put
-}
-
-// commit is the store's one ingest call: Put, PutBatch, every upload
-// path, WAL replay and snapshot load end here. It claims each
+// commit is the store's one ingest call: Put, every upload path, WAL
+// replay and snapshot load end here. It claims each
 // profile's identifier — duplicates, from other uploads or within ps,
 // drop out before a shard is created for an attacker-chosen minute —
 // then groups the claimed profiles by minute and links one burst per

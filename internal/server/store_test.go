@@ -32,6 +32,25 @@ func sharedBankInternal(t testing.TB) *reward.Bank {
 	return reward.NewBankFromKey(internalKey)
 }
 
+// putBatch validates and stores a batch of profiles through
+// Store.commit, the way an upload batch lands; per-profile failures are
+// counted, not fatal.
+func (s *Store) putBatch(ps []*vp.Profile) BatchResult {
+	var res BatchResult
+	valid := make([]*vp.Profile, 0, len(ps))
+	for _, p := range ps {
+		if err := p.Validate(); err != nil {
+			res.Rejected++
+			s.rejectedCount.Add(1)
+			continue
+		}
+		valid = append(valid, p)
+	}
+	put, _ := s.commit(valid, true, nil)
+	put.Rejected += res.Rejected
+	return put
+}
+
 // fabricate builds a valid complete profile for store tests.
 func fabricate(t testing.TB, minute int64, seed int64) *vp.Profile {
 	t.Helper()

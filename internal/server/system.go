@@ -53,8 +53,8 @@ type System struct {
 	// logs one structured line with its span breakdown; zero disables.
 	slowRequest time.Duration
 
-	// verdicts caches converged TrustRank verifications, and the
-	// reports built from them, per investigated (site, minute). Entry
+	// verdicts caches TrustRank verifications, and the reports built
+	// from them, per investigated (site, minute). Entry
 	// identity is the extraction's content epoch (core.SiteView.Refresh):
 	// a deterministic function of the minute's graph, so a verdict
 	// survives viewmap re-extraction and even a segment evict/reload of
@@ -63,8 +63,9 @@ type System struct {
 	// builder epoch, which investigateAt compares before it touches the
 	// minute: an equal builder epoch means an identical graph, so the
 	// cached report answers without a segment reload or an extraction.
-	// When the content did change, the cached entry's converged score
-	// vector warm-starts the re-verification (verifiedSite). Bounded by
+	// When the content did change, the score vector the cached
+	// verification stopped at warm-starts the re-verification
+	// (verifiedSite). Bounded by
 	// verdictCacheMax with deterministic least-recently-used eviction
 	// (verdictSeq).
 	verdictMu  sync.Mutex
@@ -108,8 +109,8 @@ const verdictCacheMax = 64
 
 // warmGrowthMax caps the graph perturbation a warm start will chase: a
 // viewmap that grew past this multiple of the scored one re-verifies
-// cold (the previous vector carries too little of the mass layout to
-// help, and the certified early-out would rarely fire anyway).
+// from the seed vector, which certifies just as exactly (the previous
+// vector carries too little of the mass layout to start closer).
 const warmGrowthMax = 8
 
 // Config parameterizes the system.
@@ -580,12 +581,13 @@ func (sys *System) InvestigateReport(token string, site geo.Rect, minute int64) 
 // reused outright, and its builder-epoch stamp raised to minuteEpoch
 // — the verdict and report are deterministic functions of the graph
 // content, so this holds across viewmap re-extraction and across a
-// segment evict/reload of the minute. When the content advanced, the cached entry's converged
-// score vector warm-starts the re-verification (same generation only,
-// and only within the warmGrowthMax perturbation cutoff);
-// core.VerifySiteFrom certifies the warm verdict equal to the cold one
-// or falls back internally. The report's Legitimate slice is the
-// cache's.
+// segment evict/reload of the minute. When the content advanced, the
+// score vector the cached verification stopped at warm-starts the
+// re-verification (same generation only, and only within the
+// warmGrowthMax perturbation cutoff); any other verification starts
+// from the seed vector. core.VerifySiteFrom certifies either start's
+// verdict equal to VerifySite's, or falls back internally. The
+// report's Legitimate slice is the cache's.
 func (sys *System) verifiedSite(vm *core.Viewmap, inSite []int, epoch, gen, minuteEpoch uint64, site geo.Rect, minute int64) (*core.Verdict, InvestigationReport, error) {
 	key := investigationKey{site: site, minute: minute}
 	sys.verdictMu.Lock()
